@@ -9,7 +9,6 @@ as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
 from .errors import NotABuildingBlock
@@ -21,10 +20,9 @@ def _face_key(face: frozenset) -> tuple:
     return tuple(sorted((tuple(sorted(b)) for b in face)))
 
 
-@lru_cache(maxsize=None)
 def _facets(tree: SignedTree) -> tuple:
     facets = [source_sets(s) for s in enumerate_maximal_spines(tree)]
-    return tuple(sorted(set(facets), key=_face_key))
+    return tuple(sorted(facets, key=_face_key))
 
 
 def enumerate_nested_sets(tree: SignedTree, max_only: bool = False) -> tuple:

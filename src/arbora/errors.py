@@ -101,7 +101,7 @@ class VerificationFailure(ArboraError):
     pass
 
 
-class RecursionMismatch(ArboraError):
+class RecursionMismatch(VerificationFailure):
     pass
 
 
@@ -109,5 +109,5 @@ class InvalidPath(ArboraError):
     pass
 
 
-class InversionMismatch(ArboraError):
+class InversionMismatch(VerificationFailure):
     pass

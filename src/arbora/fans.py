@@ -213,13 +213,13 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
     from fractions import Fraction
     from itertools import permutations
 
-    from .spines import enumerate_maximal_spines, flip_arc
+    from .spines import flip_graph
 
     if tree.nu > max_nu:
         raise BoundExceeded(f"nu = {tree.nu} exceeds the bound {max_nu}")
     failures = []
-    spines = enumerate_maximal_spines(tree)
-    by_key = {s.key(): s for s in spines}
+    graph = flip_graph(tree)
+    spines = graph.spines
 
     # (a) fibers partition the orders
     seen_orders = set()
@@ -235,7 +235,7 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
             seen_orders.add(order)
     for order in permutations(sorted(tree.standard)):
         image = kappa(tree, order)
-        if image.key() not in by_key:
+        if image.key() not in fibers:
             failures.append(("sweep-misses-facet", order))
         elif order not in fibers[image.key()]:
             failures.append(("order-outside-its-fiber", order))
@@ -245,15 +245,14 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
         failures.append(("fiber-sizes", order_count))
 
     # (b) walls separate flip-adjacent cones
-    for s in spines:
-        for arc in s.arcs:
-            neighbor = flip_arc(tree, s, arc)
+    for s, targets in zip(spines, graph.neighbors):
+        for arc, j in zip(s.arcs, targets):
             (u,) = arc[0]
             (v,) = arc[1]
             for order in fibers[s.key()]:
                 if order.index(u) > order.index(v):
                     failures.append(("wall-side", (u, v, order)))
-            for order in fibers[neighbor.key()]:
+            for order in fibers[spines[j].key()]:
                 if order.index(v) > order.index(u):
                     failures.append(("wall-side-neighbor", (u, v, order)))
 

@@ -21,7 +21,7 @@ from .errors import (
     NotMaximal,
     RecursionMismatch,
 )
-from .spines import Spine, enumerate_maximal_spines, flip_arc, source_sets
+from .spines import Spine, enumerate_maximal_spines, flip_graph, source_sets
 from .trees import (
     Sign,
     SignedTree,
@@ -133,9 +133,9 @@ def verify_realization(tree: SignedTree) -> RealizationCertificate:
     """
     nu = tree.nu
     blocks = enumerate_blocks(tree)
-    spines = enumerate_maximal_spines(tree)
-    for spine in spines:
-        point = vertex_point(tree, spine)
+    graph = flip_graph(tree)
+    points = [vertex_point(tree, spine) for spine in graph.spines]
+    for spine, point, targets in zip(graph.spines, points, graph.neighbors):
         if sum(point.values()) != comb(nu + 1, 2):
             return RealizationCertificate(False, ("total", spine.key()))
         nested = source_sets(spine)
@@ -147,9 +147,8 @@ def verify_realization(tree: SignedTree) -> RealizationCertificate:
                     return RealizationCertificate(False, ("tight", sorted(block)))
             elif value <= bound:
                 return RealizationCertificate(False, ("strict", sorted(block)))
-        for arc in spine.arcs:
-            neighbor = flip_arc(tree, spine, arc)
-            other = vertex_point(tree, neighbor)
+        for arc, j in zip(spine.arcs, targets):
+            other = points[j]
             (u,) = arc[0]
             (v,) = arc[1]
             delta = {w: other[w] - point[w] for w in point}
@@ -274,7 +273,7 @@ def singleton_count_recursive(tree: SignedTree) -> int:
     whose remaining standard vertices straddle several components
     contribute nothing.  The result is checked against direct enumeration.
     """
-    total = sum(_xi_rooted(tree, root) for root in tree.standard)
+    total = sum(_xi_rooted_cached(tree, root) for root in tree.standard)
     direct = len(singleton_spines(tree))
     if total != direct:
         raise RecursionMismatch(
@@ -304,10 +303,6 @@ def _xi_rooted_cached(tree: SignedTree, root) -> int:
     return sum(
         _xi_rooted_cached(dropped, v) for v in boundary_neighbors(tree, root)
     )
-
-
-def _xi_rooted(tree: SignedTree, root) -> int:
-    return _xi_rooted_cached(tree, root)
 
 
 def _phantomize_vertex(tree: SignedTree, vertex) -> SignedTree:

@@ -7,7 +7,9 @@ components of the tree minus the negative part of U, and the sink sets of
 distinct outgoing arcs in distinct components of the tree minus its
 positive part.  Maximal spines (all labels singletons) are the facets of
 the nested complex; contraction and splitting move between ranks; flips
-move between adjacent facets.
+move between adjacent facets.  `flip_graph` is the one place where the
+flips of a tree are enumerated; everything that walks the flip graph reads
+its neighbour table.
 """
 
 from __future__ import annotations
@@ -337,30 +339,50 @@ def flip_arc(tree: SignedTree, spine: Spine, arc: tuple) -> Spine:
     return result
 
 
+@dataclass(frozen=True)
+class FlipGraph:
+    """The maximal spines of a tree and the flips between them."""
+
+    spines: tuple  # canonically sorted
+    neighbors: tuple  # per spine, the index of the flip across each of its arcs
+
+
 @lru_cache(maxsize=None)
-def enumerate_maximal_spines(tree: SignedTree) -> tuple:
-    """All maximal spines, by breadth-first search over flips.
+def flip_graph(tree: SignedTree) -> FlipGraph:
+    """All maximal spines and their flips, by breadth-first search over flips.
 
     Seeded at the spine of the canonical vertex order; the flip graph is
-    connected, so the search is exhaustive and output-linear.
+    connected, so the search is exhaustive and output-linear.  Every flip is
+    made exactly once here; a flip landing on a nested set already found
+    must reproduce the stored spine.
     """
     from .fans import kappa
 
     seed = kappa(tree, tuple(sorted(tree.standard)))
-    order = [seed]
-    seen = {seed.key()}
+    found = {seed.key(): seed}
+    flips = {}  # spine key -> the keys of its flips, aligned with its arcs
     frontier = [seed]
     while frontier:
         nxt = []
         for spine in frontier:
+            flips[spine.key()] = targets = []
             for arc in spine.arcs:
                 neighbor = flip_arc(tree, spine, arc)
-                if neighbor.key() not in seen:
-                    seen.add(neighbor.key())
-                    order.append(neighbor)
+                stored = found.setdefault(neighbor.key(), neighbor)
+                if stored is neighbor:
                     nxt.append(neighbor)
-        frontier = sorted(nxt, key=lambda s: sorted(map(_arc_key, s.arcs)))
-    return tuple(sorted(order, key=lambda s: sorted(map(_arc_key, s.arcs))))
+                elif stored != neighbor:
+                    raise InvalidSpine("two spines share one nested set")
+                targets.append(neighbor.key())
+        frontier = nxt
+    spines = tuple(sorted(found.values(), key=lambda s: sorted(map(_arc_key, s.arcs))))
+    index = {s.key(): i for i, s in enumerate(spines)}
+    return FlipGraph(spines, tuple(tuple(map(index.get, flips[s.key()])) for s in spines))
+
+
+def enumerate_maximal_spines(tree: SignedTree) -> tuple:
+    """All maximal spines, canonically sorted: the vertices of the flip graph."""
+    return flip_graph(tree).spines
 
 
 # -- nested set <-> spine -----------------------------------------------------
@@ -597,14 +619,3 @@ def spine_from_json(doc) -> Spine:
     arcs = [(labels[t], labels[h]) for t, h in doc["arcs"]]
     return Spine.make(labels.values(), arcs)
 
-
-def spine_to_dot(spine: Spine) -> str:
-    order = {label: i for i, label in enumerate(spine.nodes)}
-    lines = ["digraph spine {"]
-    for label, i in sorted(order.items(), key=lambda kv: kv[1]):
-        text = ",".join(str(v) for v in sorted(label))
-        lines.append(f'  n{i} [label="{text}"];')
-    for t, h in spine.arcs:
-        lines.append(f"  n{order[t]} -> n{order[h]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

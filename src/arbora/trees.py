@@ -217,17 +217,30 @@ def build_tree(vertex_specs: Iterable, edge_pairs: Iterable) -> SignedTree:
             phantom = False
         else:
             vid, sign, phantom = spec
-        if vid in signs:
+        try:
+            duplicate = vid in signs
+        except TypeError:
+            raise PreconditionViolated(f"vertex id {vid!r} is not hashable") from None
+        if duplicate:
             raise DuplicateId(f"duplicate vertex id {vid!r}")
         ids.append(vid)
         # phantom vertices carry no sign; store NEGATIVE as the fixed filler
         signs[vid] = Sign.NEGATIVE if phantom else Sign.parse(sign)
         phantoms[vid] = bool(phantom)
+    try:
+        ids_sorted = tuple(sorted(ids))
+    except TypeError:
+        raise PreconditionViolated("vertex ids must be mutually comparable") from None
 
     edges = []
     seen_edges = set()
-    for u, v in edge_pairs:
-        if u not in signs or v not in signs:
+    for pair in edge_pairs:
+        try:
+            u, v = pair
+            known = u in signs and v in signs
+        except (TypeError, ValueError):
+            raise NotATree(f"an edge needs two vertex ids, got {pair!r}") from None
+        if not known:
             raise UnknownVertex(f"edge {u!r}-{v!r} uses an unknown vertex")
         if u == v:
             raise NotATree(f"self-loop at {u!r}")
@@ -240,7 +253,6 @@ def build_tree(vertex_specs: Iterable, edge_pairs: Iterable) -> SignedTree:
     if len(edges) != len(ids) - 1:
         raise NotATree(f"{len(ids)} vertices need {len(ids) - 1} edges, got {len(edges)}")
 
-    ids_sorted = tuple(sorted(ids))
     tree = SignedTree(
         vertices=ids_sorted,
         signs=tuple(signs[v] for v in ids_sorted),

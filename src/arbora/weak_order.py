@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 from .errors import BoundExceeded, InvalidOrder, VerificationFailure
 from .fans import fiber, kappa, _check_order
-from .spines import enumerate_maximal_spines, flip_arc
+from .spines import enumerate_maximal_spines, flip_graph
 from .trees import SignedTree
 
 
@@ -73,14 +73,13 @@ def increasing_flip_digraph(tree: SignedTree, base: Iterable) -> FlipDigraph:
     """
     base = _check_order(tree, base)
     pos = {v: i for i, v in enumerate(base)}
-    spines = enumerate_maximal_spines(tree)
-    index = {s.key(): i for i, s in enumerate(spines)}
+    graph = flip_graph(tree)
+    spines = graph.spines
     arcs = set()
-    for i, spine in enumerate(spines):
-        for arc in spine.arcs:
+    for i, (spine, targets) in enumerate(zip(spines, graph.neighbors)):
+        for arc, j in zip(spine.arcs, targets):
             (u,) = arc[0]
             (v,) = arc[1]
-            j = index[flip_arc(tree, spine, arc).key()]
             if pos[u] < pos[v]:
                 arcs.add((i, j, (u, v)))
             else:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arbora.cli import main, signature_classes, unsigned_automorphisms
 from arbora.catalog import htree_eq, path_neg, tripod_neg
@@ -79,6 +83,23 @@ class TestCommands:
         labels = {tuple(n["label"]) for n in document["nodes"]}
         assert labels == {("1",), ("2",), ("3",), ("4",)}
         assert len(document["arcs"]) == 3
+
+    def test_kappa_order_names_integer_ids(self, tripod_file, tmp_path, capsys):
+        path = tmp_path / "tripod_int.json"
+        path.write_text(json.dumps(tree_to_json(tripod_neg())))
+        _, by_name = run_cli(["kappa", tripod_file, "--order", "1,3,4,2"], capsys)
+        code, by_int = run_cli(["kappa", str(path), "--order", "1,3,4,2"], capsys)
+        assert code == 0
+        spine = json.loads(by_int)
+        for node in spine["nodes"]:
+            node["label"] = [str(v) for v in node["label"]]
+        assert spine == json.loads(by_name)
+        code, _ = run_cli(
+            ["congruence-check", str(path), "--order", "1,2,3,4"], capsys
+        )
+        assert code == 0
+        code, _ = run_cli(["kappa", str(path), "--order", "1,3,4,9"], capsys)
+        assert code == 1
 
     def test_flipgraph_json_and_dot(self, tripod_file, capsys):
         code, out = run_cli(["flipgraph", tripod_file], capsys)
@@ -175,6 +196,88 @@ class TestExitCodes:
         code, _ = run_cli(["blocks", "/nonexistent/tree.json"], capsys)
         assert code == 1
 
+    def test_oracle_mismatch_is_a_failed_verification(
+        self, tripod_pos_file, capsys, monkeypatch
+    ):
+        from arbora import minkowski
+
+        real = minkowski.moebius_oracle
+
+        def off_by_one(tree, max_nu=7):
+            (subset, value), *rest = real(tree, max_nu=max_nu)
+            return ((subset, value + 1), *rest)
+
+        monkeypatch.setattr(minkowski, "moebius_oracle", off_by_one)
+        code, out = run_cli(["minkowski", tripod_pos_file, "--check"], capsys)
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"vertices": [{"id": 1}, {"id": "a"}], "edges": [[1, "a"]]},
+            {"vertices": [{"id": [1]}, {"id": 2}], "edges": [[[1], 2]]},
+            {"vertices": [{"id": 1}, {"id": 2}], "edges": [[1, 2, 3]]},
+        ],
+    )
+    def test_malformed_ids_and_edges(self, document, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        code = main(["blocks", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+VERTEX_IDS = st.integers(0, 6) | st.sampled_from(["1", "2", "a"]) | JSON_VALUES
+
+
+@st.composite
+def tree_documents(draw):
+    """Tree files with at most six vertices, well-formed or not, and arbitrary JSON."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(JSON_VALUES)
+    ids = draw(
+        st.lists(st.integers(0, 9), max_size=6, unique=True)
+        | st.lists(st.sampled_from("abcdef"), max_size=6, unique=True)
+        | st.lists(VERTEX_IDS, max_size=6)
+    )
+    vertices = []
+    for vid in ids:
+        vertex = {"id": vid}
+        if draw(st.booleans()):
+            vertex["sign"] = draw(st.sampled_from(["-", "+"]) | JSON_VALUES)
+        if draw(st.integers(0, 4)) == 0:
+            vertex["phantom"] = draw(st.booleans() | JSON_VALUES)
+        vertices.append(vertex)
+    if kind < 5:  # attach each vertex to an earlier one
+        edges = [
+            [ids[draw(st.integers(0, i - 1))], ids[i]] for i in range(1, len(ids))
+        ]
+    else:
+        endpoint = st.sampled_from(ids) | VERTEX_IDS if ids else VERTEX_IDS
+        edges = draw(st.lists(st.lists(endpoint, min_size=1, max_size=3), max_size=6))
+    return {"vertices": vertices, "edges": edges}
+
+
+@given(tree_documents())
+@settings(max_examples=150, deadline=None)
+def test_any_tree_file_exits_cleanly(tmp_path_factory, document):
+    path = tmp_path_factory.getbasetemp() / "fuzz_tree.json"
+    path.write_text(json.dumps(document))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["blocks", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
 
 class TestDeterminism:
     def test_repeat_runs_identical(self, tripod_file):
@@ -188,16 +291,6 @@ class TestDeterminism:
             )
             outputs.add(result.stdout)
         assert len(outputs) == 1
-
-    def test_thread_env_preserves_output(self, tripod_file, capsys, monkeypatch):
-        _, reference = run_cli(
-            ["congruence-check", tripod_file, "--order", "1,2,3,4"], capsys
-        )
-        monkeypatch.setenv("ARBORA_THREADS", "4")
-        _, threaded = run_cli(
-            ["congruence-check", tripod_file, "--order", "1,2,3,4"], capsys
-        )
-        assert reference == threaded
 
 
 class TestSignatureMachinery:

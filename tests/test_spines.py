@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 
@@ -5,6 +7,7 @@ from arbora.blocks import is_building_block, open_components
 from arbora.complexes import enumerate_nested_sets
 from arbora.errors import (
     ImproperCut,
+    InvalidSpine,
     NotNested,
     SingletonLabel,
     UnknownArc,
@@ -18,6 +21,7 @@ from arbora.spines import (
     cut_subtrees,
     enumerate_maximal_spines,
     flip_arc,
+    flip_graph,
     one_node_spine,
     source_sets,
     spine_from_json,
@@ -264,6 +268,66 @@ class TestEnumeration:
                 flip_arc(tree, spine, arc).key() for arc in spine.arcs
             }
             assert len(neighbors) == tree.nu - 1
+
+
+class TestFlipGraph:
+    def test_neighbors_index_the_flips(self):
+        from arbora.catalog import NAMED_TREES
+
+        for make in NAMED_TREES.values():
+            tree = make()
+            graph = flip_graph(tree)
+            assert graph.spines == enumerate_maximal_spines(tree)
+            index = {s.key(): i for i, s in enumerate(graph.spines)}
+            assert len(graph.neighbors) == len(graph.spines)
+            for spine, targets in zip(graph.spines, graph.neighbors):
+                assert len(targets) == len(spine.arcs)
+                for arc, j in zip(spine.arcs, targets):
+                    flipped = flip_arc(tree, spine, arc)
+                    assert index[flipped.key()] == j
+                    assert graph.spines[j] == flipped
+
+    def test_consumers_make_no_flips(self, htree_eq, tmp_path, monkeypatch, capsys):
+        from arbora import cli, fans, geometry, spines, weak_order
+        from arbora.trees import tree_to_json
+
+        enumerate_maximal_spines(htree_eq)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return flip_arc(*args)
+
+        for module in (spines, geometry, fans, weak_order, cli):
+            if hasattr(module, "flip_arc"):
+                monkeypatch.setattr(module, "flip_arc", counted)
+        path = tmp_path / "htree.json"
+        path.write_text(json.dumps(tree_to_json(htree_eq)))
+        assert geometry.verify_realization(htree_eq)
+        assert fans.fan_cover_check(htree_eq).passed
+        weak_order.increasing_flip_digraph(htree_eq, tuple(sorted(htree_eq.standard)))
+        assert cli.main(["flipgraph", str(path)]) == 0
+        assert cli.main(["flipgraph", str(path), "--dot"]) == 0
+        capsys.readouterr()
+        assert calls == []
+
+    def test_flip_disagreeing_with_stored_spine_raises(self, monkeypatch):
+        from arbora import spines
+
+        # ids no other test uses, so no cached flip graph answers for this tree
+        tree = build_tree(
+            [("p", "-"), ("q", "+"), ("r", "-"), ("s", "-")],
+            [("p", "q"), ("q", "r"), ("r", "s")],
+        )
+
+        def scrambled(tree, spine, arc):
+            # same nested set, arcs out of canonical order
+            flipped = flip_arc(tree, spine, arc)
+            return Spine(flipped.nodes, flipped.arcs[::-1])
+
+        monkeypatch.setattr(spines, "flip_arc", scrambled)
+        with pytest.raises(InvalidSpine):
+            flip_graph(tree)
 
 
 class TestBlossomsAndCuts:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import (
@@ -37,24 +36,45 @@ class BlockCheck:
         return self.ok
 
 
+def _cuts(tree: SignedTree, sign: Sign) -> tuple:
+    """(bit, component masks) of each standard vertex of the given sign."""
+    return tuple(
+        (1 << i, comps)
+        for i, (v, comps) in enumerate(zip(tree.standard, tree.cut_masks))
+        if tree.sign_of(v) is sign
+    )
+
+
+def _convex(mask: int, cuts: tuple) -> bool:
+    """No cut vertex outside `mask` separates two of its members.
+
+    A vertex w lies inside the u-v path exactly when u and v fall in
+    different components of the tree minus w, so a convex set lies within
+    a single component of every cut vertex it leaves out.
+    """
+    if not mask:
+        return True
+    for bit, comps in cuts:
+        if not mask & bit:
+            for comp in comps:
+                if mask & comp == mask:
+                    break
+            else:
+                return False
+    return True
+
+
 def is_building_block(tree: SignedTree, subset: Iterable) -> BlockCheck:
     """Check negative convexity of `subset` and positive convexity of its complement."""
     members = frozenset(subset)
     unknown = members - tree.standard_set
     if unknown:
         raise UnknownVertex(f"not standard vertices: {sorted(unknown)}")
-    complement = tree.standard_set - members
-
-    def convex(vertices: frozenset, sign: Sign) -> bool:
-        for u, v in combinations(sorted(vertices), 2):
-            for w in tree.path_between(u, v)[1:-1]:
-                if w in tree.standard_set and tree.sign_of(w) is sign and w not in vertices:
-                    return False
-        return True
-
-    if not convex(members, Sign.NEGATIVE):
+    mask = sum(1 << i for i, v in enumerate(tree.standard) if v in members)
+    if not _convex(mask, _cuts(tree, Sign.NEGATIVE)):
         return BlockCheck(False, "negative")
-    if not convex(complement, Sign.POSITIVE):
+    full = (1 << tree.nu) - 1
+    if not _convex(full ^ mask, _cuts(tree, Sign.POSITIVE)):
         return BlockCheck(False, "positive")
     return BlockCheck(True)
 
@@ -67,16 +87,20 @@ def is_relevant(tree: SignedTree, block: frozenset) -> bool:
 def enumerate_blocks(tree: SignedTree) -> tuple:
     """All relevant building blocks, by subset filtering, in canonical order.
 
-    Canonical order is by cardinality then sorted members.  Intended for the
-    desk scale (nu <= 16); the per-subset convexity check is O(nu^2) paths.
+    Canonical order is by cardinality then sorted members.  Every proper
+    nonempty subset is walked as a bit mask and tested against the vertex
+    cuts of the tree (`SignedTree.cut_masks`), a few bit operations per
+    standard vertex; intended for nu <= 20.
     """
-    standard = sorted(tree.standard_set)
-    found = []
-    for r in range(1, len(standard)):
-        for combo in combinations(standard, r):
-            block = frozenset(combo)
-            if is_building_block(tree, block):
-                found.append(block)
+    standard = tree.standard
+    full = (1 << len(standard)) - 1
+    negative = _cuts(tree, Sign.NEGATIVE)
+    positive = _cuts(tree, Sign.POSITIVE)
+    found = [
+        frozenset(v for i, v in enumerate(standard) if mask >> i & 1)
+        for mask in range(1, full)
+        if _convex(mask, negative) and _convex(full ^ mask, positive)
+    ]
     return tuple(sorted(found, key=_set_key))
 
 

@@ -14,7 +14,7 @@ import sys
 from itertools import permutations, product
 
 from .complexes import complex_stats, enumerate_nested_sets
-from .errors import ArboraError, VerificationFailure
+from .errors import ArboraError, BoundExceeded, VerificationFailure
 from .fans import kappa
 from .geometry import (
     barycenter,
@@ -49,10 +49,16 @@ def _parse_order(tree: SignedTree, text: str) -> tuple:
     return tuple(by_name.get(token, token) for token in text.split(","))
 
 
+def _check_bound(tree: SignedTree, max_nu: int) -> None:
+    if tree.nu > max_nu:
+        raise BoundExceeded(f"nu = {tree.nu} exceeds the bound {max_nu}")
+
+
 def cmd_blocks(args) -> int:
     from .blocks import enumerate_blocks
 
     tree = _load_tree(args.tree)
+    _check_bound(tree, args.max_nu)
     _emit([_ids(b) for b in enumerate_blocks(tree)])
     return 0
 
@@ -196,8 +202,7 @@ def cmd_congruence(args) -> int:
 
 def cmd_signature_sweep(args) -> int:
     tree = _load_tree(args.tree)
-    if tree.nu > args.max_nu:
-        raise ArboraError(f"nu = {tree.nu} exceeds the bound {args.max_nu}")
+    _check_bound(tree, args.max_nu)
     classes = signature_classes(tree)
 
     def summarize(signature):
@@ -326,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    add("blocks", cmd_blocks, help="list the relevant building blocks")
+    p = add("blocks", cmd_blocks, help="list the relevant building blocks")
+    p.add_argument("--max-nu", type=int, default=20)
     add("complex", cmd_complex, help="f-vector and facets of the nested complex")
     p = add("polytope", cmd_polytope, help="vertex/facet description with certificate")
     p.add_argument("--max-nu", type=int, default=10)

@@ -9,11 +9,11 @@ as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 from .errors import NotABuildingBlock
-from .spines import enumerate_maximal_spines, source_sets
-from .trees import SignedTree, phantom_split
+from .spines import enumerate_maximal_spines
+from .trees import SignedTree
 
 
 def _face_key(face: frozenset) -> tuple:
@@ -21,7 +21,7 @@ def _face_key(face: frozenset) -> tuple:
 
 
 def _facets(tree: SignedTree) -> tuple:
-    facets = [source_sets(s) for s in enumerate_maximal_spines(tree)]
+    facets = [s.key() for s in enumerate_maximal_spines(tree)]
     return tuple(sorted(facets, key=_face_key))
 
 
@@ -57,11 +57,6 @@ def complex_stats(tree: SignedTree) -> ComplexStats:
         for block in facet:
             incidence[block] = incidence.get(block, 0) + 1
     return ComplexStats(tuple(f), tuple(sorted(incidence.values())))
-
-
-def link_split(tree: SignedTree, block: Iterable) -> Tuple[SignedTree, SignedTree]:
-    """Phantom trees whose complexes join to the link of the block."""
-    return phantom_split(tree, frozenset(block))
 
 
 def link_faces(tree: SignedTree, block: Iterable) -> tuple:

@@ -21,7 +21,7 @@ from .errors import (
     NotMaximal,
     RecursionMismatch,
 )
-from .spines import Spine, enumerate_maximal_spines, flip_graph, source_sets
+from .spines import Spine, enumerate_maximal_spines, flip_graph
 from .trees import (
     Sign,
     SignedTree,
@@ -113,14 +113,15 @@ def realize_polytope(tree: SignedTree, max_nu: int = 10) -> PolytopeDescription:
     """Vertex and facet descriptions with a verification certificate."""
     if tree.nu > max_nu:
         raise BoundExceeded(f"nu = {tree.nu} exceeds the bound {max_nu}")
-    vertices = tuple(
-        (s, vertex_point(tree, s)) for s in enumerate_maximal_spines(tree)
-    )
+    spines = flip_graph(tree).spines
+    points = [vertex_point(tree, s) for s in spines]
     facets = tuple(
         (block, HalfSpace(block, comb(len(block) + 1, 2)))
         for block in enumerate_blocks(tree)
     )
-    return PolytopeDescription(vertices, facets, verify_realization(tree))
+    return PolytopeDescription(
+        tuple(zip(spines, points)), facets, _certify(tree, points)
+    )
 
 
 def verify_realization(tree: SignedTree) -> RealizationCertificate:
@@ -131,14 +132,20 @@ def verify_realization(tree: SignedTree) -> RealizationCertificate:
     other relevant blocks strictly, and each flip moves the vertex by a
     positive integer multiple of e_u - e_v.
     """
+    return _certify(
+        tree, [vertex_point(tree, spine) for spine in flip_graph(tree).spines]
+    )
+
+
+def _certify(tree: SignedTree, points: list) -> RealizationCertificate:
+    """`verify_realization` on the points of the flip graph's spines, in order."""
     nu = tree.nu
     blocks = enumerate_blocks(tree)
     graph = flip_graph(tree)
-    points = [vertex_point(tree, spine) for spine in graph.spines]
     for spine, point, targets in zip(graph.spines, points, graph.neighbors):
         if sum(point.values()) != comb(nu + 1, 2):
             return RealizationCertificate(False, ("total", spine.key()))
-        nested = source_sets(spine)
+        nested = spine.key()
         for block in blocks:
             value = sum(point[v] for v in block)
             bound = comb(len(block) + 1, 2)

@@ -215,11 +215,6 @@ def validate_spine(tree: SignedTree, spine: Spine) -> SpineCheck:
     return SpineCheck(True)
 
 
-def source_sets(spine: Spine) -> frozenset:
-    """The nested set of the spine: one source set per arc."""
-    return spine.key()
-
-
 def contract_arc(spine: Spine, arc: tuple) -> Spine:
     tail, head = (frozenset(arc[0]), frozenset(arc[1]))
     if (tail, head) not in set(spine.arcs):
@@ -412,7 +407,7 @@ def spine_of_nested_set(tree: SignedTree, nested: Iterable) -> Spine:
     if not partition:
         return one_node_spine(tree)
     spine = kappa_extended(tree, partition)
-    if source_sets(spine) != frozenset(nested):
+    if spine.key() != frozenset(nested):
         raise NotNested("blocks do not form a nested set of this tree")
     return spine
 

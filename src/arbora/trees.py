@@ -185,6 +185,22 @@ class SignedTree:
             comps.append(frozenset(comp))
         return tuple(sorted(comps, key=lambda c: sorted(c)[0] if c else None))
 
+    @cached_property
+    def cut_masks(self) -> tuple:
+        """The vertex cuts of the tree as standard-vertex bit masks.
+
+        Standard vertex i of `standard` is the bit 1 << i.  Entry i holds
+        one mask per component of the tree minus standard vertex i: the
+        standard vertices of that component.  Components made of phantoms
+        alone are left out.
+        """
+        bit = {v: 1 << i for i, v in enumerate(self.standard)}
+        cuts = []
+        for w in self.standard:
+            masks = (sum(bit.get(x, 0) for x in c) for c in self.components((w,)))
+            cuts.append(tuple(mask for mask in masks if mask))
+        return tuple(cuts)
+
     def component_containing(self, deleted: Iterable, v) -> frozenset:
         deleted = frozenset(deleted)
         if v in deleted:
@@ -270,17 +286,28 @@ def build_tree(vertex_specs: Iterable, edge_pairs: Iterable) -> SignedTree:
 
 
 def tree_from_json(doc) -> SignedTree:
-    """Parse the toolkit-wide tree file format (a JSON object or its text)."""
+    """Parse the toolkit-wide tree file format (a JSON object or its text).
+
+    `phantom` must be a JSON boolean and every edge a two-element array.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
     try:
         specs = [
-            (v["id"], v.get("sign", "-"), bool(v.get("phantom", False)))
+            (v["id"], v.get("sign", "-"), v.get("phantom", False))
             for v in doc["vertices"]
         ]
-        edges = [tuple(e) for e in doc["edges"]]
+        edges = list(doc["edges"])
     except (KeyError, TypeError) as exc:
         raise NotATree(f"malformed tree document: {exc}") from exc
+    for vid, _, phantom in specs:
+        if not isinstance(phantom, bool):
+            raise PreconditionViolated(
+                f"phantom flag of {vid!r} must be true or false, got {phantom!r}"
+            )
+    for edge in edges:
+        if not isinstance(edge, list) or len(edge) != 2:
+            raise NotATree(f"an edge needs a list of two vertex ids, got {edge!r}")
     return build_tree(specs, edges)
 
 

@@ -1,6 +1,10 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arbora import catalog
 from arbora.blocks import (
     Compatibility,
     compatibility,
@@ -14,13 +18,55 @@ from arbora.blocks import (
     tube_of_block,
 )
 from arbora.errors import IrrelevantBlock, UnknownEdge, UnknownVertex
-from arbora.trees import build_tree
+from arbora.trees import Sign, build_tree
 
 from conftest import signed_trees
 
 
 def blocks_as_lists(tree):
     return [sorted(b) for b in enumerate_blocks(tree)]
+
+
+def path_check(tree, subset):
+    """Oracle: convexity read off the tree paths, as (ok, failed)."""
+    members = frozenset(subset)
+
+    def convex(vertices, sign):
+        for u, v in combinations(sorted(vertices), 2):
+            for w in tree.path_between(u, v)[1:-1]:
+                if w in tree.standard_set and tree.sign_of(w) is sign and w not in vertices:
+                    return False
+        return True
+
+    if not convex(members, Sign.NEGATIVE):
+        return (False, "negative")
+    if not convex(tree.standard_set - members, Sign.POSITIVE):
+        return (False, "positive")
+    return (True, None)
+
+
+def path_filter_blocks(tree):
+    """Oracle: every proper nonempty subset that passes the path test, canonically."""
+    standard = sorted(tree.standard)
+    return tuple(
+        frozenset(combo)
+        for r in range(1, len(standard))
+        for combo in combinations(standard, r)
+        if path_check(tree, combo)[0]
+    )
+
+
+@st.composite
+def phantom_trees(draw, max_vertices=9):
+    """Random trees with random phantom vertices, at least one vertex standard."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    edges = [(draw(st.integers(1, i - 1)), i) for i in range(2, n + 1)]
+    phantoms = [draw(st.booleans()) for _ in range(n)]
+    phantoms[draw(st.integers(0, n - 1))] = False
+    signs = [draw(st.sampled_from("-+")) for _ in range(n)]
+    return build_tree(
+        [(i + 1, signs[i], phantoms[i]) for i in range(n)], edges
+    )
 
 
 class TestRecognition:
@@ -39,6 +85,15 @@ class TestRecognition:
     def test_unknown_vertex(self, tripod_neg):
         with pytest.raises(UnknownVertex):
             is_building_block(tripod_neg, {9})
+
+    @pytest.mark.parametrize("name", sorted(catalog.NAMED_TREES))
+    def test_agrees_with_path_oracle_on_every_subset(self, name):
+        tree = catalog.NAMED_TREES[name]()
+        standard = sorted(tree.standard)
+        for r in range(len(standard) + 1):
+            for combo in combinations(standard, r):
+                check = is_building_block(tree, combo)
+                assert (check.ok, check.failed) == path_check(tree, combo), combo
 
 
 class TestEnumeration:
@@ -65,6 +120,15 @@ class TestEnumeration:
         for block in enumerate_blocks(tree):
             assert is_building_block(tree, block)
             assert block and block != tree.standard_set
+
+    def test_equals_path_filter_on_corpus(self):
+        for tree in catalog.corpus(max_nu=6):
+            assert enumerate_blocks(tree) == path_filter_blocks(tree), tree
+
+    @given(phantom_trees())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_path_filter_with_phantoms(self, tree):
+        assert enumerate_blocks(tree) == path_filter_blocks(tree)
 
 
 class TestTubes:

@@ -228,6 +228,35 @@ class TestExitCodes:
         assert code == 1
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {
+                "vertices": [{"id": "1"}, {"id": "2", "phantom": "false"}],
+                "edges": [["1", "2"]],
+            },
+            {"vertices": [{"id": "1"}, {"id": "2"}], "edges": ["12"]},
+        ],
+    )
+    def test_phantom_flag_and_edge_types_are_strict(self, document, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        code = main(["blocks", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_blocks_bound(self, tmp_path, capsys):
+        path = tmp_path / "path21.json"
+        path.write_text(json.dumps(tree_to_json(path_neg(21))))
+        code = main(["blocks", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: nu = 21 exceeds the bound 20\n"
+        assert "Traceback" not in captured.err
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 8) | st.floats() | st.text(max_size=3),

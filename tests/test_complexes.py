@@ -9,7 +9,6 @@ from arbora.complexes import (
     enumerate_nested_sets,
     is_pseudomanifold,
     link_faces,
-    link_split,
 )
 from arbora.errors import NotABuildingBlock
 from arbora.trees import (
@@ -17,6 +16,7 @@ from arbora.trees import (
     FlipLeafSign,
     Relabel,
     SwitchAdjacent,
+    phantom_split,
     transform,
 )
 
@@ -121,7 +121,7 @@ class TestStats:
 
 class TestLinks:
     def test_split_matches_phantoms(self, tripod_neg):
-        kept, dropped = link_split(tripod_neg, frozenset({1, 2, 3}))
+        kept, dropped = phantom_split(tripod_neg, frozenset({1, 2, 3}))
         assert kept.standard == (1, 2, 3)
         assert dropped.standard == (4,)
 
@@ -141,7 +141,7 @@ class TestLinks:
             f_link = [0] * (tree.nu + 1)
             for face in faces:
                 f_link[len(face)] += 1
-            kept, dropped = link_split(tree, block)
+            kept, dropped = phantom_split(tree, block)
             f_kept = _phantom_f_vector(kept)
             f_dropped = _phantom_f_vector(dropped)
             for k, value in enumerate(f_link):

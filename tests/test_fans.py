@@ -15,7 +15,6 @@ from arbora.fans import (
 from arbora.spines import (
     contract_arc,
     enumerate_maximal_spines,
-    source_sets,
     tree_orientation_of_spine,
 )
 from arbora.catalog import path_neg
@@ -26,13 +25,13 @@ from conftest import signed_trees
 class TestKappa:
     def test_identity_order_gives_path(self, tripod_neg):
         spine = kappa(tripod_neg, (1, 2, 3, 4))
-        assert source_sets(spine) == frozenset(
+        assert spine.key() == frozenset(
             {frozenset({1}), frozenset({1, 2}), frozenset({1, 2, 3})}
         )
 
     def test_leaves_first_gives_star(self, tripod_neg):
         spine = kappa(tripod_neg, (1, 3, 4, 2))
-        assert source_sets(spine) == frozenset(
+        assert spine.key() == frozenset(
             {frozenset({1}), frozenset({3}), frozenset({4})}
         )
 
@@ -62,7 +61,7 @@ class TestKappaExtended:
             tripod_neg, (frozenset({1, 3}), frozenset({2, 4}))
         )
         assert set(spine.nodes) == {frozenset({1}), frozenset({3}), frozenset({2, 4})}
-        assert source_sets(spine) == frozenset({frozenset({1}), frozenset({3})})
+        assert spine.key() == frozenset({frozenset({1}), frozenset({3})})
 
     def test_positive_split(self, tripod_pos):
         spine = kappa_extended(tripod_pos, (frozenset({2}), frozenset({1, 3, 4})))
@@ -93,12 +92,12 @@ class TestKappaExtended:
         while len(spine.arcs) > len(coarse.arcs):
             for arc in spine.arcs:
                 candidate = contract_arc(spine, arc)
-                if source_sets(coarse) <= source_sets(candidate):
+                if coarse.key() <= candidate.key():
                     spine = candidate
                     break
             else:
                 break
-        assert source_sets(spine) == source_sets(coarse)
+        assert spine.key() == coarse.key()
 
 
 class TestBstSpecialization:

@@ -26,7 +26,6 @@ from arbora.spines import (
     Spine,
     enumerate_maximal_spines,
     one_node_spine,
-    source_sets,
     validate_spine,
 )
 from arbora.trees import FlipAllSigns, FlipLeafSign, build_tree, transform
@@ -142,6 +141,22 @@ class TestRealization:
         assert (len(tripod.vertices), len(tripod.facets)) == (16, 10)
         assoc = realize_polytope(path4_neg)
         assert (len(assoc.vertices), len(assoc.facets)) == (14, 9)
+
+    def test_each_vertex_point_computed_once(self, htree_eq, monkeypatch):
+        from arbora import geometry
+
+        calls = []
+        real = geometry.vertex_point
+
+        def counted(tree, spine):
+            calls.append(spine)
+            return real(tree, spine)
+
+        monkeypatch.setattr(geometry, "vertex_point", counted)
+        description = realize_polytope(htree_eq)
+        assert description.certificate
+        assert len(description.vertices) == 214
+        assert len(calls) == 214
 
     def test_certificates(self, tripod_neg, tripod_pos, htree_diff):
         assert verify_realization(tripod_neg)
@@ -295,7 +310,7 @@ class TestSingletons:
     def test_every_facet_contains_a_singleton(self, tree):
         covered = set()
         for spine, _ in singleton_spines(tree):
-            covered |= source_sets(spine)
+            covered |= spine.key()
         assert covered == set(enumerate_blocks(tree))
 
 

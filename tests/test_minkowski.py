@@ -17,7 +17,7 @@ from arbora.minkowski import (
     tight_rhs,
     two_level_spine,
 )
-from arbora.spines import enumerate_maximal_spines, source_sets, validate_spine
+from arbora.spines import enumerate_maximal_spines, validate_spine
 from arbora.trees import build_tree
 
 from conftest import signed_trees
@@ -37,11 +37,11 @@ class TestTwoLevelSpines:
     def test_pair_on_tripod(self, tripod_neg):
         spine = two_level_spine(tripod_neg, {1, 3})
         assert set(spine.nodes) == {frozenset({1}), frozenset({3}), frozenset({2, 4})}
-        assert source_sets(spine) == frozenset({frozenset({1}), frozenset({3})})
+        assert spine.key() == frozenset({frozenset({1}), frozenset({3})})
 
     def test_positive_center(self, tripod_pos):
         spine = two_level_spine(tripod_pos, {2})
-        assert source_sets(spine) == frozenset(
+        assert spine.key() == frozenset(
             {frozenset({2, 3, 4}), frozenset({1, 2, 4}), frozenset({1, 2, 3})}
         )
 

@@ -23,7 +23,6 @@ from arbora.spines import (
     flip_arc,
     flip_graph,
     one_node_spine,
-    source_sets,
     spine_from_json,
     spine_of_nested_set,
     spine_of_nested_set_by_rules,
@@ -72,17 +71,17 @@ class TestValidation:
 
 class TestSourceSets:
     def test_path_prefixes(self, tripod_neg):
-        assert source_sets(path_spine(1, 2, 3, 4)) == frozenset(
+        assert path_spine(1, 2, 3, 4).key() == frozenset(
             {frozenset({1}), frozenset({1, 2}), frozenset({1, 2, 3})}
         )
 
     def test_star(self, tripod_neg):
-        assert source_sets(star_into(2, [1, 3, 4])) == frozenset(
+        assert star_into(2, [1, 3, 4]).key() == frozenset(
             {frozenset({1}), frozenset({3}), frozenset({4})}
         )
 
     def test_one_node(self, tripod_neg):
-        assert source_sets(one_node_spine(tripod_neg)) == frozenset()
+        assert one_node_spine(tripod_neg).key() == frozenset()
 
     @given(signed_trees(max_nu=5))
     @settings(max_examples=25)
@@ -90,7 +89,7 @@ class TestSourceSets:
         from arbora.blocks import compatible
 
         for spine in enumerate_maximal_spines(tree):
-            sources = sorted(source_sets(spine), key=lambda b: sorted(b))
+            sources = sorted(spine.key(), key=lambda b: sorted(b))
             for block in sources:
                 assert is_building_block(tree, block)
             for i, a in enumerate(sources):
@@ -125,18 +124,18 @@ class TestNestedSetCorrespondence:
         for face in enumerate_nested_sets(tree):
             spine = spine_of_nested_set(tree, face)
             assert validate_spine(tree, spine)
-            assert source_sets(spine) == face
+            assert spine.key() == face
             assert spine_of_nested_set_by_rules(tree, face).key() == spine.key()
 
     @given(signed_trees(max_nu=5))
     @settings(max_examples=15, deadline=None)
     def test_round_trip_from_spines(self, tree):
         for spine in enumerate_maximal_spines(tree):
-            assert spine_of_nested_set(tree, source_sets(spine)).key() == spine.key()
+            assert spine_of_nested_set(tree, spine.key()).key() == spine.key()
 
     def test_round_trip_on_six_vertex_facets(self, htree_diff):
         for spine in enumerate_maximal_spines(htree_diff):
-            rebuilt = spine_of_nested_set(htree_diff, source_sets(spine))
+            rebuilt = spine_of_nested_set(htree_diff, spine.key())
             assert rebuilt.key() == spine.key()
 
 
@@ -198,9 +197,7 @@ class TestContractSplit:
                         if (frozenset({vertex}), rest) in split.arcs
                         else (rest, frozenset({vertex}))
                     )
-                    assert source_sets(contract_arc(split, new_arc)) == source_sets(
-                        merged
-                    )
+                    assert contract_arc(split, new_arc).key() == merged.key()
 
 
 class TestFlips:
@@ -225,18 +222,18 @@ class TestFlips:
         spine = path_spine(1, 2, 3, 4)
         for arc in spine.arcs:
             flipped = flip_arc(tripod_neg, spine, arc)
-            assert len(source_sets(spine) ^ source_sets(flipped)) == 2
+            assert len(spine.key() ^ flipped.key()) == 2
 
     @given(signed_trees(min_nu=2, max_nu=5))
     @settings(max_examples=15, deadline=None)
     def test_unique_alternative_refinement(self, tree):
-        facets = {source_sets(s): s for s in enumerate_maximal_spines(tree)}
+        facets = {s.key(): s for s in enumerate_maximal_spines(tree)}
         for spine in facets.values():
             for arc in spine.arcs:
-                ridge = source_sets(spine) - {spine.source_set(arc)}
+                ridge = spine.key() - {spine.source_set(arc)}
                 containing = {f for f in facets if ridge <= f}
                 flipped = flip_arc(tree, spine, arc)
-                assert containing == {source_sets(spine), source_sets(flipped)}
+                assert containing == {spine.key(), flipped.key()}
 
 
 class TestEnumeration:

@@ -61,11 +61,38 @@ class TestBuildTree:
     def test_json_roundtrip(self, p3mix):
         assert tree_from_json(tree_to_json(p3mix)) == p3mix
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, {"q": True}])
+    def test_json_phantom_must_be_boolean(self, flag):
+        document = {
+            "vertices": [{"id": "1"}, {"id": "2", "phantom": flag}],
+            "edges": [["1", "2"]],
+        }
+        with pytest.raises(PreconditionViolated):
+            tree_from_json(document)
+
+    @pytest.mark.parametrize("edge", ["12", ["1"], ["1", "2", "3"], {"1": "2"}, 12])
+    def test_json_edge_must_be_a_pair_list(self, edge):
+        document = {"vertices": [{"id": "1"}, {"id": "2"}], "edges": [edge]}
+        with pytest.raises(NotATree):
+            tree_from_json(document)
+
 
 class TestPathsComponents:
     def test_path(self, tripod_neg):
         assert tripod_neg.path_between(1, 3) == (1, 2, 3)
         assert tripod_neg.path_between(2, 2) == (2,)
+
+    def test_cut_masks(self, tripod_neg):
+        # standard vertices 1, 2, 3, 4 are the bits 1, 2, 4, 8
+        assert tripod_neg.cut_masks == ((14,), (1, 4, 8), (11,), (7,))
+
+    def test_cut_masks_skip_phantom_components(self):
+        tree = build_tree(
+            [(1, "-"), (2, "-", True), (3, "+"), (4, "-", True)],
+            [(1, 2), (2, 3), (3, 4)],
+        )
+        # standard vertices 1, 3 are the bits 1, 2; {4} alone is left out
+        assert tree.cut_masks == ((2,), (1,))
 
     def test_components(self, tripod_neg):
         comps = tripod_neg.components({2})

@@ -14,9 +14,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from arbora.catalog import tree_shapes
-from arbora.cli import signature_classes
 from arbora.complexes import complex_stats
-from arbora.trees import build_tree
+from arbora.trees import build_tree, signature_classes
 from arbora.weak_order import h_vector
 
 

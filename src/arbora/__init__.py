@@ -2,7 +2,8 @@
 
 Modules
 -------
-trees       signed (phantom) trees, transformations, isomorphism, boundary walk
+trees       signed (phantom) trees, transformations, signature classes,
+            isomorphism, boundary walk, the per-tree memo
 blocks      building blocks, tubes, open subtrees, compatibility
 complexes   the nested complex: faces, f-vectors, links, pseudo-manifold check
 spines      the spine calculus: validation, contraction, flips, cuts

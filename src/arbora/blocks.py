@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import (
@@ -20,7 +19,7 @@ from .errors import (
     UnknownEdge,
     UnknownVertex,
 )
-from .trees import Sign, SignedTree, build_tree, canonical_edge
+from .trees import Sign, SignedTree, build_tree, canonical_edge, tree_cached
 
 
 def _set_key(s: frozenset) -> tuple:
@@ -83,7 +82,7 @@ def is_relevant(tree: SignedTree, block: frozenset) -> bool:
     return bool(block) and block != tree.standard_set
 
 
-@lru_cache(maxsize=None)
+@tree_cached
 def enumerate_blocks(tree: SignedTree) -> tuple:
     """All relevant building blocks, by subset filtering, in canonical order.
 
@@ -220,11 +219,6 @@ class Compatibility(Enum):
     INCOMPATIBLE = "incompatible"
 
 
-@lru_cache(maxsize=None)
-def _block_set(tree: SignedTree) -> frozenset:
-    return frozenset(enumerate_blocks(tree))
-
-
 def compatibility(tree: SignedTree, block_a: Iterable, block_b: Iterable) -> Compatibility:
     """Classify an unordered pair of distinct relevant blocks.
 
@@ -240,10 +234,10 @@ def compatibility(tree: SignedTree, block_a: Iterable, block_b: Iterable) -> Com
         return Compatibility.NEG_NESTED
     if a >= b:
         return Compatibility.POS_NESTED
-    blocks = _block_set(tree)
-    if not (a & b) and (a | b) not in blocks and (a | b) != tree.standard_set:
+    # the empty set and the ground set are always blocks
+    if not (a & b) and not is_building_block(tree, a | b):
         return Compatibility.NEG_DISJOINT
-    if (a | b) == tree.standard_set and (a & b) not in blocks and bool(a & b):
+    if (a | b) == tree.standard_set and not is_building_block(tree, a & b):
         return Compatibility.POS_DISJOINT
     return Compatibility.INCOMPATIBLE
 

@@ -65,7 +65,7 @@ NAMED_TREES = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def tree_shapes(n: int) -> tuple:
     """Edge sets of all unlabeled trees on n vertices (one labeling each)."""
     if n == 1:

@@ -3,7 +3,8 @@
 Every command reads a tree file ({"vertices": [...], "edges": [...]}) and
 writes one JSON document (DOT for `flipgraph --dot`) to stdout.  Exit code
 0 means success, 1 an input problem, 2 a failed verification.  Output is
-deterministic byte for byte.
+deterministic byte for byte.  Each command imports the modules it uses, so
+starting the front-end loads only the tree layer.
 """
 
 from __future__ import annotations
@@ -11,21 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import permutations, product
+from itertools import permutations
 
-from .complexes import complex_stats, enumerate_nested_sets
 from .errors import ArboraError, BoundExceeded, VerificationFailure
-from .fans import kappa
-from .geometry import (
-    barycenter,
-    isometric,
-    realize_polytope,
-    singleton_spines,
-)
-from .minkowski import minkowski_coefficients
-from .spines import flip_graph, spine_to_json
-from .trees import SignedTree, build_tree, tree_from_json
-from .weak_order import congruence_diagnostics, h_vector
+from .trees import SignedTree, build_tree, signature_classes, tree_from_json
 
 
 def _load_tree(path: str) -> SignedTree:
@@ -64,6 +54,8 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_complex(args) -> int:
+    from .complexes import complex_stats, enumerate_nested_sets
+
     tree = _load_tree(args.tree)
     stats = complex_stats(tree)
     facets = enumerate_nested_sets(tree, max_only=True)
@@ -77,6 +69,9 @@ def cmd_complex(args) -> int:
 
 
 def cmd_polytope(args) -> int:
+    from .geometry import realize_polytope
+    from .spines import spine_to_json
+
     tree = _load_tree(args.tree)
     description = realize_polytope(tree, max_nu=args.max_nu)
     order = sorted(tree.standard)
@@ -96,12 +91,17 @@ def cmd_polytope(args) -> int:
 
 
 def cmd_kappa(args) -> int:
+    from .fans import kappa
+    from .spines import spine_to_json
+
     tree = _load_tree(args.tree)
     _emit(spine_to_json(kappa(tree, _parse_order(tree, args.order))))
     return 0
 
 
 def cmd_flipgraph(args) -> int:
+    from .spines import flip_graph, spine_to_json
+
     tree = _load_tree(args.tree)
     graph = flip_graph(tree)
     spines = graph.spines
@@ -135,6 +135,8 @@ def cmd_flipgraph(args) -> int:
 
 
 def cmd_minkowski(args) -> int:
+    from .minkowski import minkowski_coefficients
+
     tree = _load_tree(args.tree)
     table = minkowski_coefficients(tree, max_nu=args.max_nu, check=args.check)
     _emit(
@@ -148,10 +150,10 @@ def cmd_minkowski(args) -> int:
 
 
 def cmd_singletons(args) -> int:
+    from .geometry import singleton_count_recursive, singleton_spines
+
     tree = _load_tree(args.tree)
     pairs = singleton_spines(tree)
-    from .geometry import singleton_count_recursive
-
     recursive = singleton_count_recursive(tree)
     _emit(
         {
@@ -164,6 +166,8 @@ def cmd_singletons(args) -> int:
 
 
 def cmd_barycenter(args) -> int:
+    from .geometry import barycenter
+
     tree = _load_tree(args.tree)
     point = barycenter(tree)
     _emit({str(v): f"{q.numerator}/{q.denominator}" for v, q in point.items()})
@@ -171,6 +175,8 @@ def cmd_barycenter(args) -> int:
 
 
 def cmd_isometric(args) -> int:
+    from .geometry import isometric
+
     a = _load_tree(args.tree)
     b = _load_tree(args.other)
     _emit({"isometric": isometric(a, b)})
@@ -178,6 +184,8 @@ def cmd_isometric(args) -> int:
 
 
 def cmd_congruence(args) -> int:
+    from .weak_order import congruence_diagnostics
+
     tree = _load_tree(args.tree)
     if args.all_orders:
         bases = list(permutations(sorted(tree.standard)))
@@ -201,6 +209,9 @@ def cmd_congruence(args) -> int:
 
 
 def cmd_signature_sweep(args) -> int:
+    from .complexes import complex_stats
+    from .weak_order import h_vector
+
     tree = _load_tree(args.tree)
     _check_bound(tree, args.max_nu)
     classes = signature_classes(tree)
@@ -233,89 +244,6 @@ def cmd_signature_sweep(args) -> int:
 def _with_signature(tree: SignedTree, signature: tuple) -> SignedTree:
     specs = [(v, s) for v, s in zip(tree.standard, signature)]
     return build_tree(specs, tree.edges)
-
-
-def unsigned_automorphisms(tree: SignedTree) -> tuple:
-    """All edge-preserving bijections of the vertex set."""
-    vertices = list(tree.vertices)
-    edges = set(tree.edges)
-    results = []
-
-    def backtrack(assignment):
-        if len(assignment) == len(vertices):
-            results.append(dict(assignment))
-            return
-        v = vertices[len(assignment)]
-        for w in vertices:
-            if w in assignment.values():
-                continue
-            if tree.degree(v) != tree.degree(w):
-                continue
-            ok = True
-            for u, img in assignment.items():
-                has = (min(u, v), max(u, v)) in edges
-                has_img = (min(img, w), max(img, w)) in edges
-                if has != has_img:
-                    ok = False
-                    break
-            if ok:
-                assignment[v] = w
-                backtrack(assignment)
-                del assignment[v]
-
-    backtrack({})
-    return tuple(results)
-
-
-def signature_classes(tree: SignedTree) -> tuple:
-    """One representative signature per orbit of the complex-preserving moves.
-
-    Moves: global sign flip, leaf sign flips, tree automorphisms, and
-    switches of adjacent opposite-sign vertices of degree at most 2.
-    """
-    vertices = list(tree.standard)
-    index = {v: i for i, v in enumerate(vertices)}
-    autos = unsigned_automorphisms(tree)
-    leaves = [v for v in vertices if tree.degree(v) == 1]
-    switchable = [
-        (u, v)
-        for u, v in tree.edges
-        if tree.degree(u) <= 2 and tree.degree(v) <= 2
-    ]
-
-    def neighbors(signature):
-        out = set()
-        out.add(tuple("-" if s == "+" else "+" for s in signature))
-        for leaf in leaves:
-            flipped = list(signature)
-            i = index[leaf]
-            flipped[i] = "-" if flipped[i] == "+" else "+"
-            out.add(tuple(flipped))
-        for auto in autos:
-            out.add(tuple(signature[index[auto[v]]] for v in vertices))
-        for u, v in switchable:
-            i, j = index[u], index[v]
-            if signature[i] != signature[j]:
-                swapped = list(signature)
-                swapped[i], swapped[j] = swapped[j], swapped[i]
-                out.add(tuple(swapped))
-        return out
-
-    seen = set()
-    representatives = []
-    for bits in sorted(product("-+", repeat=len(vertices))):
-        if bits in seen:
-            continue
-        representatives.append(bits)
-        frontier = [bits]
-        seen.add(bits)
-        while frontier:
-            current = frontier.pop()
-            for nxt in neighbors(current):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return tuple(representatives)
 
 
 def build_parser() -> argparse.ArgumentParser:

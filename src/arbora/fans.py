@@ -11,7 +11,6 @@ new node, sweeping a positive vertex splits the piece containing it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .blocks import open_components
@@ -24,7 +23,7 @@ from .errors import (
     VerificationFailure,
 )
 from .spines import Spine
-from .trees import SignedTree, canonical_edge
+from .trees import SignedTree, canonical_edge, tree_cached
 
 
 def _check_order(tree: SignedTree, order: Iterable) -> tuple:
@@ -123,7 +122,7 @@ def _recompute_boundary(tree: SignedTree, interior: frozenset) -> frozenset:
     )
 
 
-@lru_cache(maxsize=65536)
+@tree_cached
 def fiber(tree: SignedTree, spine: Spine) -> tuple:
     """All linear extensions of a maximal spine, in lexicographic order."""
     if not spine.is_maximal:

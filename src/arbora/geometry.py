@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import Iterable, Optional
 
@@ -27,6 +26,7 @@ from .trees import (
     SignedTree,
     boundary_neighbors,
     signed_isomorphism,
+    tree_cached,
 )
 
 
@@ -280,7 +280,7 @@ def singleton_count_recursive(tree: SignedTree) -> int:
     whose remaining standard vertices straddle several components
     contribute nothing.  The result is checked against direct enumeration.
     """
-    total = sum(_xi_rooted_cached(tree, root) for root in tree.standard)
+    total = sum(_xi_rooted(tree, root) for root in tree.standard)
     direct = len(singleton_spines(tree))
     if total != direct:
         raise RecursionMismatch(
@@ -300,18 +300,22 @@ def _root_feasible(tree: SignedTree, root) -> bool:
     return len(holding) <= 1
 
 
-@lru_cache(maxsize=None)
-def _xi_rooted_cached(tree: SignedTree, root) -> int:
+@tree_cached
+def _xi_rooted(tree: SignedTree, root) -> int:
     if not _root_feasible(tree, root):
         return 0
     if tree.nu == 1:
         return 1
     dropped = _phantomize_vertex(tree, root)
     return sum(
-        _xi_rooted_cached(dropped, v) for v in boundary_neighbors(tree, root)
+        _xi_rooted(dropped, v) for v in boundary_neighbors(tree, root)
     )
 
 
+# Cached so that the smaller trees of the recursion, and with them their
+# memos, live as long as the tree: branches that phantomize the same
+# vertices in another order then share one count.
+@tree_cached
 def _phantomize_vertex(tree: SignedTree, vertex) -> SignedTree:
     index = tree.vertices.index(vertex)
     return SignedTree(

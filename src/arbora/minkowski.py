@@ -15,7 +15,12 @@ from itertools import combinations
 from math import comb
 from typing import Iterable
 
-from .errors import BoundExceeded, InvalidPath, InversionMismatch
+from .errors import (
+    BoundExceeded,
+    InvalidPath,
+    InversionMismatch,
+    PreconditionViolated,
+)
 from .fans import kappa_extended
 from .spines import Spine, one_node_spine
 from .trees import SignedTree
@@ -158,8 +163,13 @@ def minkowski_coefficients(
 
     y vanishes off negative paths; positive singletons add the degree
     correction nu * deg / 2 + 1 to their weight; every other negative path
-    contributes its weight as is.
+    contributes its weight as is.  The closed form holds for trees without
+    phantom vertices only; a phantom tree is refused.
     """
+    if any(tree.phantoms):
+        raise PreconditionViolated(
+            "the closed form needs a tree without phantom vertices"
+        )
     if tree.nu > max_nu:
         raise BoundExceeded(f"nu = {tree.nu} exceeds the bound {max_nu}")
     nu = tree.nu

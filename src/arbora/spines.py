@@ -15,7 +15,7 @@ its neighbour table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .blocks import Compatibility, compatibility, open_components
@@ -29,7 +29,7 @@ from .errors import (
     UnknownArc,
     VertexNotInLabel,
 )
-from .trees import SignedTree, canonical_edge
+from .trees import SignedTree, canonical_edge, tree_cached
 
 
 def _label_key(label: frozenset) -> tuple:
@@ -342,7 +342,7 @@ class FlipGraph:
     neighbors: tuple  # per spine, the index of the flip across each of its arcs
 
 
-@lru_cache(maxsize=None)
+@tree_cached
 def flip_graph(tree: SignedTree) -> FlipGraph:
     """All maximal spines and their flips, by breadth-first search over flips.
 

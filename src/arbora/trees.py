@@ -3,16 +3,22 @@
 The universal input of the toolkit: a finite tree whose vertices carry a
 sign in {-, +}.  Phantom vertices have no sign and never enter vertex
 subsets, labels or blocks; they only participate in connectivity.  All
-values are immutable, so every operation in the package is a pure function
-and trees can be used as cache keys.
+values are immutable, so every operation in the package is a pure function.
+
+Caching policy: a value derived from one tree is either a `cached_property`
+of the tree or is memoized by `tree_cached`, which keeps it in a weak
+per-tree memo.  Equal trees share one memo, and it is freed with the tree
+object that made it, so no cache outlives the tree it describes.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, wraps
+from itertools import product
 from typing import Iterable, Mapping, Optional
 
 from .errors import (
@@ -216,6 +222,32 @@ class SignedTree:
         return frozenset(comp)
 
 
+_MEMO = weakref.WeakKeyDictionary()  # tree -> {(function, args): value}
+
+
+def tree_cached(fn):
+    """Memoize `fn(tree, *args)` in the memo of the tree.
+
+    The memo is keyed by the tree's value, so equal trees built separately
+    share it; it is dropped when the tree object that created it is freed.
+    A cached value must not hold that tree, or the memo would keep it alive.
+    """
+
+    @wraps(fn)
+    def cached(tree: SignedTree, *args):
+        memo = _MEMO.get(tree)
+        if memo is None:
+            memo = _MEMO[tree] = {}
+        key = (cached, args)
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = fn(tree, *args)
+            return value
+
+    return cached
+
+
 def build_tree(vertex_specs: Iterable, edge_pairs: Iterable) -> SignedTree:
     """Validate and build a SignedTree.
 
@@ -404,6 +436,89 @@ def transform(tree: SignedTree, op) -> SignedTree:
         signs[iu], signs[iv] = signs[iv], signs[iu]
         return SignedTree(tree.vertices, tuple(signs), tree.phantoms, tree.edges)
     raise PreconditionViolated(f"unknown transform {op!r}")
+
+
+def unsigned_automorphisms(tree: SignedTree) -> tuple:
+    """All edge-preserving bijections of the vertex set."""
+    vertices = list(tree.vertices)
+    edges = set(tree.edges)
+    results = []
+
+    def backtrack(assignment):
+        if len(assignment) == len(vertices):
+            results.append(dict(assignment))
+            return
+        v = vertices[len(assignment)]
+        for w in vertices:
+            if w in assignment.values():
+                continue
+            if tree.degree(v) != tree.degree(w):
+                continue
+            ok = True
+            for u, img in assignment.items():
+                has = (min(u, v), max(u, v)) in edges
+                has_img = (min(img, w), max(img, w)) in edges
+                if has != has_img:
+                    ok = False
+                    break
+            if ok:
+                assignment[v] = w
+                backtrack(assignment)
+                del assignment[v]
+
+    backtrack({})
+    return tuple(results)
+
+
+def signature_classes(tree: SignedTree) -> tuple:
+    """One representative signature per orbit of the complex-preserving moves.
+
+    Moves: global sign flip, leaf sign flips, tree automorphisms, and
+    switches of adjacent opposite-sign vertices of degree at most 2.
+    """
+    vertices = list(tree.standard)
+    index = {v: i for i, v in enumerate(vertices)}
+    autos = unsigned_automorphisms(tree)
+    leaves = [v for v in vertices if tree.degree(v) == 1]
+    switchable = [
+        (u, v)
+        for u, v in tree.edges
+        if tree.degree(u) <= 2 and tree.degree(v) <= 2
+    ]
+
+    def neighbors(signature):
+        out = set()
+        out.add(tuple("-" if s == "+" else "+" for s in signature))
+        for leaf in leaves:
+            flipped = list(signature)
+            i = index[leaf]
+            flipped[i] = "-" if flipped[i] == "+" else "+"
+            out.add(tuple(flipped))
+        for auto in autos:
+            out.add(tuple(signature[index[auto[v]]] for v in vertices))
+        for u, v in switchable:
+            i, j = index[u], index[v]
+            if signature[i] != signature[j]:
+                swapped = list(signature)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                out.add(tuple(swapped))
+        return out
+
+    seen = set()
+    representatives = []
+    for bits in sorted(product("-+", repeat=len(vertices))):
+        if bits in seen:
+            continue
+        representatives.append(bits)
+        frontier = [bits]
+        seen.add(bits)
+        while frontier:
+            current = frontier.pop()
+            for nxt in neighbors(current):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return tuple(representatives)
 
 
 PROP18_MODES = ("exact", "anti", "up_to_leaf_signs", "anti_up_to_leaf_signs")

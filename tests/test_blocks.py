@@ -173,6 +173,29 @@ class TestTubes:
             seen[key] = block
 
 
+def set_rule_compatibility(tree, blocks, a, b):
+    """Oracle: the rule that looks the union and the meet up among the relevant blocks."""
+    if a <= b:
+        return Compatibility.NEG_NESTED
+    if a >= b:
+        return Compatibility.POS_NESTED
+    if not (a & b) and (a | b) not in blocks and (a | b) != tree.standard_set:
+        return Compatibility.NEG_DISJOINT
+    if (a | b) == tree.standard_set and (a & b) not in blocks and bool(a & b):
+        return Compatibility.POS_DISJOINT
+    return Compatibility.INCOMPATIBLE
+
+
+def assert_compatibility_matches_set_rule(tree):
+    blocks = enumerate_blocks(tree)
+    block_set = frozenset(blocks)
+    for a in blocks:
+        for b in blocks:
+            if a != b:
+                expected = set_rule_compatibility(tree, block_set, a, b)
+                assert compatibility(tree, a, b) is expected, (tree, a, b)
+
+
 class TestCompatibility:
     def test_nested(self, tripod_neg):
         assert (
@@ -192,6 +215,15 @@ class TestCompatibility:
             compatibility(tree, frozenset({1}), frozenset({2}))
             is Compatibility.INCOMPATIBLE
         )
+
+    def test_equals_set_rule_on_corpus(self):
+        for tree in catalog.corpus(max_nu=5):
+            assert_compatibility_matches_set_rule(tree)
+
+    @given(phantom_trees(max_vertices=7))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_set_rule_with_phantoms(self, tree):
+        assert_compatibility_matches_set_rule(tree)
 
     @given(signed_trees(min_nu=2, max_nu=5))
     @settings(max_examples=20)

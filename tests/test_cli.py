@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arbora.cli import main, signature_classes, unsigned_automorphisms
+from arbora.cli import main
 from arbora.catalog import htree_eq, path_neg, tripod_neg
-from arbora.trees import tree_to_json
+from arbora.trees import signature_classes, tree_to_json, unsigned_automorphisms
 
 
 TRIPOD_NEG_DOC = {
@@ -247,6 +247,27 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_minkowski_refuses_phantom_tree(self, tmp_path, capsys):
+        path = tmp_path / "phantom.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "vertices": [
+                        {"id": 6, "sign": "-"},
+                        {"id": 7, "sign": "+"},
+                        {"id": 9, "phantom": True},
+                    ],
+                    "edges": [[6, 7], [7, 9]],
+                }
+            )
+        )
+        code = main(["minkowski", str(path), "--check"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_blocks_bound(self, tmp_path, capsys):
         path = tmp_path / "path21.json"
         path.write_text(json.dumps(tree_to_json(path_neg(21))))
@@ -320,6 +341,17 @@ class TestDeterminism:
             )
             outputs.add(result.stdout)
         assert len(outputs) == 1
+
+
+def test_cli_import_loads_only_the_tree_layer():
+    probe = (
+        "import sys, arbora.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('arbora.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == str(["arbora.cli", "arbora.errors", "arbora.trees"])
 
 
 class TestSignatureMachinery:

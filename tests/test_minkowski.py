@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from arbora.blocks import enumerate_blocks
-from arbora.errors import BoundExceeded
+from arbora.errors import BoundExceeded, PreconditionViolated
 from arbora.geometry import vertex_point
 from arbora.minkowski import (
     NegativePath,
@@ -222,6 +222,14 @@ class TestCoefficients:
     def test_bound(self, spider7):
         with pytest.raises(BoundExceeded):
             minkowski_coefficients(spider7, max_nu=5)
+
+    def test_phantom_tree_refused(self):
+        # the closed form disagrees with Moebius inversion on this tree
+        tree = build_tree([(6, "-"), (7, "+"), (9, "-", True)], [(6, 7), (7, 9)])
+        with pytest.raises(PreconditionViolated):
+            minkowski_coefficients(tree)
+        with pytest.raises(PreconditionViolated):
+            minkowski_coefficients(tree, check=False)
 
     def test_perm_is_segment_sum(self):
         # Moebius inversion of the pure binomial right-hand sides supports

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 
@@ -20,6 +23,7 @@ from arbora.trees import (
     phantom_split,
     signed_isomorphism,
     transform,
+    tree_cached,
     tree_from_json,
     tree_to_json,
 )
@@ -240,3 +244,58 @@ class TestBoundaryWalk:
             reached = boundary_neighbors(tree, root)
             assert root not in reached
             assert reached <= tree.standard_set
+
+
+def lonely_tree():
+    """A tree with ids no other test uses, so no live equal tree shares its memo."""
+    return build_tree(
+        [("memo-a", "-"), ("memo-b", "+"), ("memo-c", "-"), ("memo-d", "+")],
+        [("memo-a", "memo-b"), ("memo-b", "memo-c"), ("memo-b", "memo-d")],
+    )
+
+
+class TestTreeCache:
+    def test_flip_graph_dies_with_its_tree(self):
+        from arbora.spines import flip_graph
+
+        tree = lonely_tree()
+        graph = weakref.ref(flip_graph(tree))
+        gc.collect()
+        assert graph() is not None
+        del tree
+        gc.collect()
+        assert graph() is None
+
+    def test_equal_trees_share_one_flip_graph(self):
+        from arbora.spines import flip_graph
+
+        first, second = lonely_tree(), lonely_tree()
+        assert first is not second
+        assert flip_graph(second) is flip_graph(first)
+
+    def test_fiber_is_served_from_the_memo_of_an_equal_tree(self):
+        from arbora.fans import fiber
+        from arbora.spines import enumerate_maximal_spines
+
+        first = lonely_tree()
+        spine = enumerate_maximal_spines(first)[0]
+        orders = fiber(first, spine)
+        assert fiber(lonely_tree(), spine) is orders
+
+    def test_memoizes_per_argument_and_forgets_with_the_tree(self):
+        calls = []
+
+        @tree_cached
+        def degree_sum(tree, vertex):
+            calls.append(vertex)
+            return sum(tree.degree(n) for n in tree.neighbors(vertex))
+
+        tree = lonely_tree()
+        assert degree_sum(tree, "memo-a") == 3
+        assert degree_sum(lonely_tree(), "memo-a") == 3
+        assert degree_sum(tree, "memo-b") == 3
+        assert calls == ["memo-a", "memo-b"]
+        del tree
+        gc.collect()
+        degree_sum(lonely_tree(), "memo-a")
+        assert calls == ["memo-a", "memo-b", "memo-a"]

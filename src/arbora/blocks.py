@@ -4,6 +4,8 @@ A building block is a set of standard vertices that is negative convex and
 whose complement is positive convex.  Blocks are the canonical currency of
 the whole toolkit; tubes and open subtrees are derived views connected by
 the usual bijections (tube -> interior, tube -> block, block -> tube).
+Convexity and the separation rule of spines (`held_together`) are one test
+on the vertex cuts of the tree (`SignedTree.cut_masks`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import (
     UnknownEdge,
     UnknownVertex,
 )
-from .trees import Sign, SignedTree, build_tree, canonical_edge, tree_cached
+from .trees import SignedTree, build_tree, canonical_edge, tree_cached
 
 
 def _set_key(s: frozenset) -> tuple:
@@ -35,12 +37,16 @@ class BlockCheck:
         return self.ok
 
 
-def _cuts(tree: SignedTree, sign: Sign) -> tuple:
-    """(bit, component masks) of each standard vertex of the given sign."""
+def _mask(tree: SignedTree, vertices) -> int:
+    return sum(1 << i for i, v in enumerate(tree.standard) if v in vertices)
+
+
+def _cuts(tree: SignedTree, vertices) -> tuple:
+    """(bit, component masks) of each standard vertex in `vertices`."""
     return tuple(
         (1 << i, comps)
         for i, (v, comps) in enumerate(zip(tree.standard, tree.cut_masks))
-        if tree.sign_of(v) is sign
+        if v in vertices
     )
 
 
@@ -63,17 +69,28 @@ def _convex(mask: int, cuts: tuple) -> bool:
     return True
 
 
+def held_together(tree: SignedTree, vertices, deleted) -> bool:
+    """No vertex of `deleted` lies on the tree path between two of `vertices`.
+
+    Both are sets of standard vertices; members of `deleted` that belong to
+    `vertices` are ignored.  A set that avoids `deleted` is held together
+    exactly when it lies in one component of the tree minus `deleted`: the
+    separation rule of spines and of adjacent congruence.
+    """
+    return _convex(_mask(tree, vertices), _cuts(tree, deleted))
+
+
 def is_building_block(tree: SignedTree, subset: Iterable) -> BlockCheck:
     """Check negative convexity of `subset` and positive convexity of its complement."""
     members = frozenset(subset)
     unknown = members - tree.standard_set
     if unknown:
         raise UnknownVertex(f"not standard vertices: {sorted(unknown)}")
-    mask = sum(1 << i for i, v in enumerate(tree.standard) if v in members)
-    if not _convex(mask, _cuts(tree, Sign.NEGATIVE)):
+    mask = _mask(tree, members)
+    if not _convex(mask, _cuts(tree, tree.negatives)):
         return BlockCheck(False, "negative")
     full = (1 << tree.nu) - 1
-    if not _convex(full ^ mask, _cuts(tree, Sign.POSITIVE)):
+    if not _convex(full ^ mask, _cuts(tree, tree.positives)):
         return BlockCheck(False, "positive")
     return BlockCheck(True)
 
@@ -93,8 +110,8 @@ def enumerate_blocks(tree: SignedTree) -> tuple:
     """
     standard = tree.standard
     full = (1 << len(standard)) - 1
-    negative = _cuts(tree, Sign.NEGATIVE)
-    positive = _cuts(tree, Sign.POSITIVE)
+    negative = _cuts(tree, tree.negatives)
+    positive = _cuts(tree, tree.positives)
     found = [
         frozenset(v for i, v in enumerate(standard) if mask >> i & 1)
         for mask in range(1, full)

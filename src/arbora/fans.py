@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .blocks import open_components
+from .blocks import held_together, open_components
 from .errors import (
     BoundExceeded,
     InvalidOrder,
@@ -168,15 +168,9 @@ def adjacent_congruent(tree: SignedTree, order_a: Iterable, order_b: Iterable) -
     if (a[i], a[i + 1]) != (b[i + 1], b[i]):
         raise NotAdjacent("orders must differ by one adjacent transposition")
     u, v = a[i], a[i + 1]
-    position = {x: j for j, x in enumerate(a)}
-    for w in tree.path_between(u, v)[1:-1]:
-        if tree.is_phantom(w):
-            continue
-        if w in tree.negatives and position[w] > i + 1:
-            return True
-        if w in tree.positives and position[w] < i:
-            return True
-    return False
+    swept_after, swept_before = frozenset(a[i + 2 :]), frozenset(a[:i])
+    deleted = (tree.negatives & swept_after) | (tree.positives & swept_before)
+    return not held_together(tree, (u, v), deleted)
 
 
 def orientation_of_order(tree: SignedTree, order: Iterable) -> dict:

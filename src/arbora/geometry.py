@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional
 
-from .blocks import enumerate_blocks
+from .blocks import enumerate_blocks, held_together
 from .errors import (
     BoundExceeded,
     NotMaximal,
@@ -59,9 +59,8 @@ def vertex_point(tree: SignedTree, spine: Spine) -> dict:
         for arc in spine._incident[node]:
             if arc == avoid:
                 continue
-            other = arc[0] if arc[1] == node else arc[1]
-            size = len(_subspine_size(spine, node, other))
-            branch_sizes.append(size)
+            side = spine.source_set(arc) if arc[1] == node else spine.sink_set(arc)
+            branch_sizes.append(len(side))
         total = 1 + sum(branch_sizes)
         pairs = 0
         for i in range(len(branch_sizes)):
@@ -70,21 +69,6 @@ def vertex_point(tree: SignedTree, spine: Spine) -> dict:
         count = total + pairs
         coords[v] = count if v in tree.negatives else nu + 1 - count
     return coords
-
-
-def _subspine_size(spine: Spine, root: frozenset, start: frozenset) -> frozenset:
-    """Vertices of the subspine hanging off `root` through the node `start`."""
-    seen = {root, start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for tail, head in spine._incident[cur]:
-            for end in (tail, head):
-                if end not in seen:
-                    seen.add(end)
-                    stack.append(end)
-    seen.discard(root)
-    return frozenset(v for label in seen for v in label)
 
 
 @dataclass(frozen=True)
@@ -290,14 +274,9 @@ def singleton_count_recursive(tree: SignedTree) -> int:
 
 
 def _root_feasible(tree: SignedTree, root) -> bool:
-    if root in tree.negatives:
-        return True
-    holding = [
-        comp
-        for comp in tree.components(frozenset({root}))
-        if comp & tree.standard_set
-    ]
-    return len(holding) <= 1
+    return root in tree.negatives or held_together(
+        tree, tree.standard_set - {root}, {root}
+    )
 
 
 @tree_cached

@@ -5,11 +5,14 @@ standard vertices, subject to a local separation condition: at a node with
 label U, the source sets of distinct incoming arcs live in distinct
 components of the tree minus the negative part of U, and the sink sets of
 distinct outgoing arcs in distinct components of the tree minus its
-positive part.  Maximal spines (all labels singletons) are the facets of
-the nested complex; contraction and splitting move between ranks; flips
-move between adjacent facets.  `flip_graph` is the one place where the
-flips of a tree are enumerated; everything that walks the flip graph reads
-its neighbour table.
+positive part.  Every separation question here (validation, splitting,
+flips) is asked of one rule, `blocks.held_together`: no deleted vertex lies
+on the tree path between two vertices of a set.  It is answered from the
+vertex cuts that block convexity uses.  Maximal spines (all labels
+singletons) are the facets of the nested complex; contraction and
+splitting move between ranks; flips move between adjacent facets.
+`flip_graph` is the one place where the flips of a tree are enumerated;
+everything that walks the flip graph reads its neighbour table.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .blocks import Compatibility, compatibility, open_components
+from .blocks import Compatibility, compatibility, held_together, open_components
 from .errors import (
     ImproperCut,
     InvalidSpine,
@@ -111,12 +114,6 @@ class Spine:
     def is_maximal(self) -> bool:
         return all(len(label) == 1 for label in self.nodes)
 
-    def arc_by_source_set(self, source: frozenset) -> tuple:
-        for arc in self.arcs:
-            if self.source_set(arc) == source:
-                return arc
-        raise UnknownArc(f"no arc with source set {sorted(source)}")
-
     def key(self) -> frozenset:
         """Canonical identity: the family of arc source sets."""
         return frozenset(self._side_sets.values())
@@ -152,7 +149,15 @@ class SpineCheck:
 
 
 def validate_spine(tree: SignedTree, spine: Spine) -> SpineCheck:
-    """Check the partition, tree shape, and local separation conditions."""
+    """Check the partition, tree shape, and local separation conditions.
+
+    A side set (the source set of an incoming arc, the sink set of an
+    outgoing one) never meets its node's label once the arcs form a tree,
+    so it lies in one component of the tree minus the deleted part of the
+    label (the negative part for incoming arcs, the positive part for
+    outgoing ones) exactly when it is held together without it; two side
+    sets share a component exactly when their union is held together.
+    """
     labels = list(spine.nodes)
     if not labels:
         return SpineCheck(False, "no nodes")
@@ -188,30 +193,25 @@ def validate_spine(tree: SignedTree, spine: Spine) -> SpineCheck:
             return SpineCheck(False, "arcs do not connect the nodes")
 
     for label in labels:
-        neg = frozenset(v for v in label if v in tree.negatives)
-        pos = frozenset(v for v in label if v in tree.positives)
-        for arcs, deleted, side in (
-            (spine.incoming(label), neg, "incoming"),
-            (spine.outgoing(label), pos, "outgoing"),
+        for arcs, side_set, part, side in (
+            (spine.incoming(label), spine.source_set, tree.negatives, "incoming"),
+            (spine.outgoing(label), spine.sink_set, tree.positives, "outgoing"),
         ):
-            comps = tree.components(deleted)
-            used = set()
+            deleted = label & part
+            held = []
             for arc in arcs:
-                content = (
-                    spine.source_set(arc) if side == "incoming" else spine.sink_set(arc)
-                )
-                homes = [i for i, c in enumerate(comps) if content <= c]
-                if not homes:
+                content = side_set(arc)
+                if not held_together(tree, content, deleted):
                     return SpineCheck(
                         False,
                         f"{side} set at node {sorted(label)} spans several components",
                     )
-                if homes[0] in used:
+                if any(held_together(tree, other | content, deleted) for other in held):
                     return SpineCheck(
                         False,
                         f"two {side} sets at node {sorted(label)} share a component",
                     )
-                used.add(homes[0])
+                held.append(content)
     return SpineCheck(True)
 
 
@@ -237,7 +237,8 @@ def split_node(tree: SignedTree, spine: Spine, node: Iterable, vertex) -> Spine:
     A negative vertex is pulled below the node and steals the incoming arcs
     whose source sets sit in components (of the tree minus the negative part
     of the label) adjacent to it; a positive vertex is pulled above,
-    symmetrically.
+    symmetrically.  An arc moves to the new node exactly when its side set
+    plus the vertex is held together without the rest of the deleted part.
     """
     node = frozenset(node)
     if node not in set(spine.nodes):
@@ -248,32 +249,23 @@ def split_node(tree: SignedTree, spine: Spine, node: Iterable, vertex) -> Spine:
         raise VertexNotInLabel(f"{vertex!r} not in label {sorted(node)}")
 
     rest = node - {vertex}
-    negative = vertex in tree.negatives
-
-    if negative:
-        deleted = frozenset(v for v in node if v in tree.negatives)
-        grabbed = []
-        for arc in spine.incoming(node):
-            content = spine.source_set(arc)
-            comp = next(c for c in tree.components(deleted) if content <= c)
-            if any(n == vertex for v in comp for n in tree.adjacency[v]):
-                grabbed.append(arc)
-        new_arcs = [((frozenset({vertex})), rest)]
+    single = frozenset({vertex})
+    if vertex in tree.negatives:
+        arcs, side_set, part = spine.incoming(node), spine.source_set, tree.negatives
+        new_arcs = [(single, rest)]
     else:
-        deleted = frozenset(v for v in node if v in tree.positives)
-        grabbed = []
-        for arc in spine.outgoing(node):
-            content = spine.sink_set(arc)
-            comp = next(c for c in tree.components(deleted) if content <= c)
-            if any(n == vertex for v in comp for n in tree.adjacency[v]):
-                grabbed.append(arc)
-        new_arcs = [(rest, frozenset({vertex}))]
+        arcs, side_set, part = spine.outgoing(node), spine.sink_set, tree.positives
+        new_arcs = [(rest, single)]
+    others = rest & part
+    grabbed = [
+        arc for arc in arcs if held_together(tree, side_set(arc) | single, others)
+    ]
 
-    nodes = [frozenset({vertex}), rest] + [n for n in spine.nodes if n != node]
+    nodes = [single, rest] + [n for n in spine.nodes if n != node]
     for t, h in spine.arcs:
         if (t, h) in grabbed:
-            t2 = frozenset({vertex}) if t == node else t
-            h2 = frozenset({vertex}) if h == node else h
+            t2 = single if t == node else t
+            h2 = single if h == node else h
         else:
             t2 = rest if t == node else t
             h2 = rest if h == node else h
@@ -300,20 +292,21 @@ def flip_arc(tree: SignedTree, spine: Spine, arc: tuple) -> Spine:
     (u,) = tail
     (v,) = head
 
-    comp_u_side = tree.component_containing(frozenset({v}), u)
-    comp_v_side = tree.component_containing(frozenset({u}), v)
-
     # a positive node has a single incoming arc and it always moves; a
     # negative node moves the incoming arc rooted on v's side of the tree
     arc_i = None
     for cand in spine.incoming(tail):
-        if u in tree.positives or spine.source_set(cand) <= comp_v_side:
+        if u in tree.positives or held_together(
+            tree, spine.source_set(cand) | head, tail
+        ):
             arc_i = cand
             break
     # dually: a negative node's unique outgoing arc always moves
     arc_o = None
     for cand in spine.outgoing(head):
-        if v in tree.negatives or spine.sink_set(cand) <= comp_u_side:
+        if v in tree.negatives or held_together(
+            tree, spine.sink_set(cand) | tail, head
+        ):
             arc_o = cand
             break
 

@@ -474,8 +474,13 @@ def signature_classes(tree: SignedTree) -> tuple:
     """One representative signature per orbit of the complex-preserving moves.
 
     Moves: global sign flip, leaf sign flips, tree automorphisms, and
-    switches of adjacent opposite-sign vertices of degree at most 2.
+    switches of adjacent opposite-sign vertices of degree at most 2.  A
+    signature signs every vertex, so a phantom tree is refused.
     """
+    if any(tree.phantoms):
+        raise PreconditionViolated(
+            "signature classes need a tree without phantom vertices"
+        )
     vertices = list(tree.standard)
     index = {v: i for i, v in enumerate(vertices)}
     autos = unsigned_automorphisms(tree)

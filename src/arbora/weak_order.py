@@ -61,9 +61,6 @@ class FlipDigraph:
     source: int
     sink: int
 
-    def out_degree(self, index: int) -> int:
-        return sum(1 for a in self.arcs if a[0] == index)
-
 
 def increasing_flip_digraph(tree: SignedTree, base: Iterable) -> FlipDigraph:
     """Orient every flip by the base order of its exchanged endpoints.

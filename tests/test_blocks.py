@@ -11,6 +11,7 @@ from arbora.blocks import (
     block_of_tube,
     edge_blocks,
     enumerate_blocks,
+    held_together,
     is_building_block,
     open_components,
     reconstruct_tree,
@@ -54,6 +55,29 @@ def path_filter_blocks(tree):
         for combo in combinations(standard, r)
         if path_check(tree, combo)[0]
     )
+
+
+def path_held_together(tree, vertices, deleted):
+    """Oracle: no vertex of `deleted` outside `vertices` on a path joining them."""
+    return not any(
+        w in deleted and w not in vertices
+        for u, v in combinations(sorted(vertices), 2)
+        for w in tree.path_between(u, v)
+    )
+
+
+def assert_held_together_matches_paths(tree):
+    small = [
+        frozenset(combo)
+        for r in range(4)
+        for combo in combinations(sorted(tree.standard), r)
+    ]
+    for vertices in small:
+        for deleted in small:
+            expected = path_held_together(tree, vertices, deleted)
+            assert held_together(tree, vertices, deleted) is expected, (
+                tree, vertices, deleted
+            )
 
 
 @st.composite
@@ -129,6 +153,22 @@ class TestEnumeration:
     @settings(max_examples=100, deadline=None)
     def test_equals_path_filter_with_phantoms(self, tree):
         assert enumerate_blocks(tree) == path_filter_blocks(tree)
+
+
+class TestHeldTogether:
+    def test_path(self, path4_neg):
+        assert held_together(path4_neg, {1, 3}, {4})
+        assert not held_together(path4_neg, {1, 3}, {2, 4})
+        assert held_together(path4_neg, {1, 2, 3}, {2})  # members do not separate
+
+    def test_equals_path_oracle_on_corpus(self):
+        for tree in catalog.corpus(max_nu=5):
+            assert_held_together_matches_paths(tree)
+
+    @given(phantom_trees(max_vertices=7))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_path_oracle_with_phantoms(self, tree):
+        assert_held_together_matches_paths(tree)
 
 
 class TestTubes:

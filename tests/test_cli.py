@@ -177,6 +177,16 @@ class TestCommands:
         assert len(json.loads(out)["classes"]) == 1
 
 
+PHANTOM_TREE = {
+    "vertices": [
+        {"id": 6, "sign": "-"},
+        {"id": 7, "sign": "+"},
+        {"id": 9, "phantom": True},
+    ],
+    "edges": [[6, 7], [7, 9]],
+}
+
+
 class TestExitCodes:
     def test_malformed_edges(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -249,19 +259,18 @@ class TestExitCodes:
 
     def test_minkowski_refuses_phantom_tree(self, tmp_path, capsys):
         path = tmp_path / "phantom.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "vertices": [
-                        {"id": 6, "sign": "-"},
-                        {"id": 7, "sign": "+"},
-                        {"id": 9, "phantom": True},
-                    ],
-                    "edges": [[6, 7], [7, 9]],
-                }
-            )
-        )
+        path.write_text(json.dumps(PHANTOM_TREE))
         code = main(["minkowski", str(path), "--check"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_signature_sweep_refuses_phantom_tree(self, tmp_path, capsys):
+        path = tmp_path / "phantom.json"
+        path.write_text(json.dumps(PHANTOM_TREE))
+        code = main(["signature-sweep", str(path)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
@@ -317,14 +326,26 @@ def tree_documents(draw):
     return {"vertices": vertices, "edges": edges}
 
 
-@given(tree_documents())
+FUZZED_COMMANDS = (
+    "blocks",
+    "complex",
+    "polytope",
+    "flipgraph",
+    "singletons",
+    "barycenter",
+    "signature-sweep",
+    "minkowski",
+)
+
+
+@given(tree_documents(), st.sampled_from(FUZZED_COMMANDS))
 @settings(max_examples=150, deadline=None)
-def test_any_tree_file_exits_cleanly(tmp_path_factory, document):
+def test_any_tree_file_exits_cleanly(tmp_path_factory, document, command):
     path = tmp_path_factory.getbasetemp() / "fuzz_tree.json"
     path.write_text(json.dumps(document))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["blocks", str(path)])
+        code = main([command, str(path)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from arbora.blocks import is_building_block, open_components
+from arbora.catalog import NAMED_TREES
 from arbora.complexes import enumerate_nested_sets
 from arbora.errors import (
     ImproperCut,
@@ -48,6 +49,60 @@ def star_into(center, leaves):
     return Spine.make(nodes, arcs)
 
 
+def components_validate(tree, spine):
+    """Oracle: `validate_spine` with the separation read off `tree.components`."""
+    labels = list(spine.nodes)
+    if not labels:
+        return (False, "no nodes")
+    if any(not label for label in labels):
+        return (False, "empty label")
+    if sum(map(len, labels)) != len(frozenset().union(*labels)):
+        return (False, "labels overlap")
+    if frozenset().union(*labels) != tree.standard_set:
+        return (False, "labels do not partition the standard vertices")
+    if len(spine.arcs) != len(labels) - 1:
+        return (False, "arc count is not node count minus one")
+    if any(end not in labels for arc in spine.arcs for end in arc):
+        return (False, "arc endpoint is not a node")
+    seen, stack = {labels[0]}, [labels[0]]
+    while stack:
+        for arc in spine._incident[stack.pop()]:
+            for end in set(arc) - seen:
+                seen.add(end)
+                stack.append(end)
+    if len(seen) != len(labels):
+        return (False, "arcs do not connect the nodes")
+    for label in labels:
+        for arcs, deleted, side in (
+            (spine.incoming(label), label & tree.negatives, "incoming"),
+            (spine.outgoing(label), label & tree.positives, "outgoing"),
+        ):
+            comps = tree.components(deleted)
+            used = set()
+            for arc in arcs:
+                content = (
+                    spine.source_set(arc) if side == "incoming" else spine.sink_set(arc)
+                )
+                homes = [i for i, c in enumerate(comps) if content <= c]
+                where = f"at node {sorted(label)}"
+                if not homes:
+                    return (False, f"{side} set {where} spans several components")
+                if homes[0] in used:
+                    return (False, f"two {side} sets {where} share a component")
+                used.add(homes[0])
+    return (True, None)
+
+
+def one_arc_mutations(spine):
+    """Every spine made by reversing one arc or moving one arc's head."""
+    for k, (tail, head) in enumerate(spine.arcs):
+        others = spine.arcs[:k] + spine.arcs[k + 1 :]
+        yield Spine.make(spine.nodes, others + ((head, tail),))
+        for node in spine.nodes:
+            if node not in (tail, head):
+                yield Spine.make(spine.nodes, others + ((tail, node),))
+
+
 class TestValidation:
     def test_directed_path(self, tripod_neg):
         assert validate_spine(tripod_neg, path_spine(1, 2, 3, 4))
@@ -67,6 +122,21 @@ class TestValidation:
     def test_partition_required(self, tripod_neg):
         spine = Spine.make([frozenset({1, 2})], [])
         assert not validate_spine(tripod_neg, spine)
+
+    def test_agrees_with_components_oracle_on_mutated_spines(self):
+        reasons = set()
+        for name, make in sorted(NAMED_TREES.items()):
+            tree = make()
+            for base in enumerate_maximal_spines(tree):
+                for spine in one_arc_mutations(base):
+                    check = validate_spine(tree, spine)
+                    assert (check.ok, check.reason) == components_validate(
+                        tree, spine
+                    ), (name, spine)
+                    reasons.add(check.reason and check.reason.split(" at ")[0])
+        # valid spines and both separation failures on both sides of a node
+        assert reasons >= {None, "incoming set", "outgoing set"}
+        assert reasons >= {"two incoming sets", "two outgoing sets"}
 
 
 class TestSourceSets:
@@ -269,8 +339,6 @@ class TestEnumeration:
 
 class TestFlipGraph:
     def test_neighbors_index_the_flips(self):
-        from arbora.catalog import NAMED_TREES
-
         for make in NAMED_TREES.values():
             tree = make()
             graph = flip_graph(tree)

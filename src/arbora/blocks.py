@@ -21,11 +21,7 @@ from .errors import (
     UnknownEdge,
     UnknownVertex,
 )
-from .trees import SignedTree, build_tree, canonical_edge, tree_cached
-
-
-def _set_key(s: frozenset) -> tuple:
-    return (len(s), tuple(sorted(s)))
+from .trees import SignedTree, build_tree, canonical_edge, subset_key, tree_cached
 
 
 @dataclass(frozen=True)
@@ -38,19 +34,21 @@ class BlockCheck:
 
 
 def _mask(tree: SignedTree, vertices) -> int:
-    return sum(1 << i for i, v in enumerate(tree.standard) if v in vertices)
+    """The bit mask of the standard vertices among `vertices`."""
+    index, mask = tree.standard_index, 0
+    for v in vertices:
+        if v in index:
+            mask |= 1 << index[v]
+    return mask
 
 
-def _cuts(tree: SignedTree, vertices) -> tuple:
+def _cuts(tree: SignedTree, vertices) -> list:
     """(bit, component masks) of each standard vertex in `vertices`."""
-    return tuple(
-        (1 << i, comps)
-        for i, (v, comps) in enumerate(zip(tree.standard, tree.cut_masks))
-        if v in vertices
-    )
+    index, cut_masks = tree.standard_index, tree.cut_masks
+    return [(1 << index[v], cut_masks[index[v]]) for v in vertices if v in index]
 
 
-def _convex(mask: int, cuts: tuple) -> bool:
+def _convex(mask: int, cuts: list) -> bool:
     """No cut vertex outside `mask` separates two of its members.
 
     A vertex w lies inside the u-v path exactly when u and v fall in
@@ -75,7 +73,7 @@ def held_together(tree: SignedTree, vertices, deleted) -> bool:
     Both are sets of standard vertices; members of `deleted` that belong to
     `vertices` are ignored.  A set that avoids `deleted` is held together
     exactly when it lies in one component of the tree minus `deleted`: the
-    separation rule of spines and of adjacent congruence.
+    separation rule of spines, of the sweep and of adjacent congruence.
     """
     return _convex(_mask(tree, vertices), _cuts(tree, deleted))
 
@@ -117,7 +115,7 @@ def enumerate_blocks(tree: SignedTree) -> tuple:
         for mask in range(1, full)
         if _convex(mask, negative) and _convex(full ^ mask, positive)
     ]
-    return tuple(sorted(found, key=_set_key))
+    return tuple(sorted(found, key=subset_key))
 
 
 @dataclass(frozen=True)
@@ -133,7 +131,7 @@ class OpenSubtree:
     boundary: frozenset
 
     def key(self) -> tuple:
-        return (_set_key(self.interior), _set_key(self.boundary))
+        return (subset_key(self.interior), subset_key(self.boundary))
 
 
 @dataclass(frozen=True)
@@ -271,7 +269,7 @@ def edge_blocks(tree: SignedTree, edge: tuple) -> tuple:
     side_u = tree.component_containing(frozenset((v,)), u) - {v}
     block_u = side_u & tree.standard_set
     block_v = tree.standard_set - block_u
-    pair = sorted((block_u, block_v), key=_set_key)
+    pair = sorted((block_u, block_v), key=subset_key)
     return (pair[0], pair[1])
 
 
@@ -291,7 +289,7 @@ def reconstruct_tree(vertex_ids: Iterable, blocks: Iterable) -> SignedTree:
         if full - b in blocks and b not in seen:
             seen.add(b)
             seen.add(full - b)
-            cuts.append(min(b, full - b, key=_set_key))
+            cuts.append(min(b, full - b, key=subset_key))
     tree_edges = _assemble_edges(ids, cuts)
     signs = {}
     temp = build_tree([(v, "-") for v in ids], tree_edges)

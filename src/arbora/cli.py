@@ -14,8 +14,8 @@ import json
 import sys
 from itertools import permutations
 
-from .errors import ArboraError, BoundExceeded, VerificationFailure
-from .trees import SignedTree, build_tree, signature_classes, tree_from_json
+from .errors import ArboraError, VerificationFailure
+from .trees import SignedTree, build_tree, check_bound, signature_classes, tree_from_json
 
 
 def _load_tree(path: str) -> SignedTree:
@@ -39,16 +39,11 @@ def _parse_order(tree: SignedTree, text: str) -> tuple:
     return tuple(by_name.get(token, token) for token in text.split(","))
 
 
-def _check_bound(tree: SignedTree, max_nu: int) -> None:
-    if tree.nu > max_nu:
-        raise BoundExceeded(f"nu = {tree.nu} exceeds the bound {max_nu}")
-
-
 def cmd_blocks(args) -> int:
     from .blocks import enumerate_blocks
 
     tree = _load_tree(args.tree)
-    _check_bound(tree, args.max_nu)
+    check_bound(tree, args.max_nu)
     _emit([_ids(b) for b in enumerate_blocks(tree)])
     return 0
 
@@ -213,7 +208,7 @@ def cmd_signature_sweep(args) -> int:
     from .weak_order import h_vector
 
     tree = _load_tree(args.tree)
-    _check_bound(tree, args.max_nu)
+    check_bound(tree, args.max_nu)
     classes = signature_classes(tree)
 
     def summarize(signature):

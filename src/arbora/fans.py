@@ -2,10 +2,13 @@
 
 kappa maps a linear order on the standard vertices to the unique maximal
 spine of which it is a linear extension; kappa_extended does the same for
-ordered partitions.  Both are computed by a bottom-up sweep that maintains
-the open components of the tree minus (unswept negatives + swept
-positives): sweeping a negative vertex merges the pieces it bounds into a
-new node, sweeping a positive vertex splits the piece containing it.
+ordered partitions.  Both rest on a bottom-up sweep that asks one
+separation rule, `blocks.held_together`: when the sweep reaches v, with the
+unswept negatives and the swept positives deleted, v receives an arc from
+each earlier vertex u that is held together with v but not with the tail
+of an arc that v already received, walking back from the latest vertex.
+A positive vertex receives one arc, a negative one at most one per tree
+neighbour.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .blocks import held_together, open_components
+from .blocks import held_together
 from .errors import (
-    BoundExceeded,
     InvalidOrder,
     InvalidPartition,
     NotAdjacent,
@@ -23,7 +25,7 @@ from .errors import (
     VerificationFailure,
 )
 from .spines import Spine
-from .trees import SignedTree, canonical_edge, tree_cached
+from .trees import SignedTree, canonical_edge, check_bound, tree_cached
 
 
 def _check_order(tree: SignedTree, order: Iterable) -> tuple:
@@ -74,52 +76,34 @@ def kappa(tree: SignedTree, order: Iterable) -> Spine:
 
 
 def _sweep(tree: SignedTree, order: tuple) -> Spine:
-    """Bottom-up sweep of a linear order into a maximal spine."""
-    negatives = tree.negatives
-    entries = []  # (interior, boundary, tail_label_or_None)
-    for piece in open_components(tree, negatives):
-        entries.append((piece.interior, piece.boundary, None))
+    """Bottom-up sweep of a linear order into a maximal spine.
 
-    nodes = []
+    When the sweep reaches v, the deleted set is the unswept negatives and
+    the swept positives.  Each open component at v (a component of the tree
+    minus the deleted set that holds or bounds v, or a deleted edge at v)
+    sends v one arc, from the vertex swept last in it or on its boundary,
+    if any.  Walking back over the swept vertices, that is the first u held
+    together with v and with no tail already found.  A positive v lies in a
+    single component; a negative v bounds one per tree neighbour.
+    """
+    deleted = set(tree.negatives)
     arcs = []
-    for v in order:
-        label = frozenset({v})
-        nodes.append(label)
-        if v in negatives:
-            consumed = [e for e in entries if v in e[1]]
-            entries = [e for e in entries if v not in e[1]]
-            interior = frozenset({v}).union(*(e[0] for e in consumed)) if consumed else frozenset({v})
-            for _, _, tail in sorted(consumed, key=_entry_key):
-                if tail is not None:
-                    arcs.append((tail, label))
-            entries.append((interior, _recompute_boundary(tree, interior), label))
+    for k, v in enumerate(order):
+        wanted = 1 if v in tree.positives else tree.degree(v)
+        tails = []
+        for u in reversed(order[:k]):
+            if len(tails) == wanted:
+                break
+            if held_together(tree, (u, v), deleted) and not any(
+                held_together(tree, (u, t), deleted) for t in tails
+            ):
+                tails.append(u)
+        arcs.extend((frozenset({u}), frozenset({v})) for u in tails)
+        if v in tree.positives:
+            deleted.add(v)
         else:
-            hosts = [e for e in entries if v in e[0]]
-            if len(hosts) != 1:
-                raise InvalidOrder(f"sweep lost track of {v!r}")
-            host = hosts[0]
-            entries.remove(host)
-            if host[2] is not None:
-                arcs.append((host[2], label))
-            remaining = host[0] - {v}
-            for comp in tree.components(frozenset(tree.vertices) - remaining):
-                entries.append((comp, _recompute_boundary(tree, comp), label))
-            for n in tree.adjacency[v]:
-                if n not in remaining:
-                    entries.append((frozenset(), frozenset({v, n}), label))
-    return Spine.make(nodes, arcs)
-
-
-def _entry_key(entry):
-    interior, boundary, _ = entry
-    basis = interior or boundary
-    return sorted(basis)
-
-
-def _recompute_boundary(tree: SignedTree, interior: frozenset) -> frozenset:
-    return frozenset(
-        n for v in interior for n in tree.adjacency[v] if n not in interior
-    )
+            deleted.discard(v)
+    return Spine.make([frozenset({v}) for v in order], arcs)
 
 
 @tree_cached
@@ -208,8 +192,7 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
 
     from .spines import flip_graph
 
-    if tree.nu > max_nu:
-        raise BoundExceeded(f"nu = {tree.nu} exceeds the bound {max_nu}")
+    check_bound(tree, max_nu)
     failures = []
     graph = flip_graph(tree)
     spines = graph.spines

@@ -15,17 +15,15 @@ from math import comb
 from typing import Iterable, Optional
 
 from .blocks import enumerate_blocks, held_together
-from .errors import (
-    BoundExceeded,
-    NotMaximal,
-    RecursionMismatch,
-)
+from .errors import NotMaximal, RecursionMismatch
 from .spines import Spine, enumerate_maximal_spines, flip_graph
 from .trees import (
     Sign,
     SignedTree,
     boundary_neighbors,
+    check_bound,
     signed_isomorphism,
+    subset_key,
     tree_cached,
 )
 
@@ -95,8 +93,7 @@ class PolytopeDescription:
 
 def realize_polytope(tree: SignedTree, max_nu: int = 10) -> PolytopeDescription:
     """Vertex and facet descriptions with a verification certificate."""
-    if tree.nu > max_nu:
-        raise BoundExceeded(f"nu = {tree.nu} exceeds the bound {max_nu}")
+    check_bound(tree, max_nu)
     spines = flip_graph(tree).spines
     points = [vertex_point(tree, s) for s in spines]
     facets = tuple(
@@ -174,8 +171,7 @@ def para_summands(tree: SignedTree, max_nu: int = 12) -> ParaSummands:
     The weight of an edge is the number of tree paths through it, i.e. the
     product of the sizes of the two components it separates.
     """
-    if tree.nu > max_nu:
-        raise BoundExceeded(f"nu = {tree.nu} exceeds the bound {max_nu}")
+    check_bound(tree, max_nu)
     nu = tree.nu
     weights = {}
     for edge in tree.edges:
@@ -207,8 +203,8 @@ def para_summands(tree: SignedTree, max_nu: int = 12) -> ParaSummands:
         y.append((frozenset(edge), Fraction(weight)))
     return ParaSummands(
         tuple(sorted(weights.items())),
-        tuple(sorted(z, key=lambda kv: (len(kv[0]), tuple(sorted(kv[0]))))),
-        tuple(sorted(y, key=lambda kv: (len(kv[0]), tuple(sorted(kv[0]))))),
+        tuple(sorted(z, key=lambda kv: subset_key(kv[0]))),
+        tuple(sorted(y, key=lambda kv: subset_key(kv[0]))),
     )
 
 

@@ -16,14 +16,13 @@ from math import comb
 from typing import Iterable
 
 from .errors import (
-    BoundExceeded,
     InvalidPath,
     InversionMismatch,
     PreconditionViolated,
 )
 from .fans import kappa_extended
 from .spines import Spine, one_node_spine
-from .trees import SignedTree
+from .trees import SignedTree, check_bound, subset_key
 
 
 def two_level_spine(tree: SignedTree, subset: Iterable) -> Spine:
@@ -88,7 +87,7 @@ def negative_paths(tree: SignedTree) -> tuple:
         for r in range(len(optional) + 1):
             for extra in combinations(optional, r):
                 paths.append(NegativePath(base | frozenset(extra), (p, q)))
-    return tuple(sorted(paths, key=lambda np: (len(np.members), tuple(sorted(np.members)))))
+    return tuple(sorted(paths, key=lambda path: subset_key(path.members)))
 
 
 def _component_sizes(tree: SignedTree, vertex, away_from=None) -> list:
@@ -152,10 +151,6 @@ class CoefficientTable:
         return dict(self.y)[frozenset(subset)]
 
 
-def _subset_key(pair) -> tuple:
-    return (len(pair[0]), tuple(sorted(pair[0])))
-
-
 def minkowski_coefficients(
     tree: SignedTree, max_nu: int = 7, check: bool = True
 ) -> CoefficientTable:
@@ -170,8 +165,7 @@ def minkowski_coefficients(
         raise PreconditionViolated(
             "the closed form needs a tree without phantom vertices"
         )
-    if tree.nu > max_nu:
-        raise BoundExceeded(f"nu = {tree.nu} exceeds the bound {max_nu}")
+    check_bound(tree, max_nu)
     nu = tree.nu
     vertices = sorted(tree.standard)
 
@@ -214,16 +208,15 @@ def minkowski_coefficients(
                 )
 
     return CoefficientTable(
-        tuple(sorted(z.items(), key=_subset_key)),
-        tuple(sorted(y.items(), key=_subset_key)),
+        tuple(sorted(z.items(), key=lambda kv: subset_key(kv[0]))),
+        tuple(sorted(y.items(), key=lambda kv: subset_key(kv[0]))),
         checked,
     )
 
 
 def moebius_oracle(tree: SignedTree, max_nu: int = 7) -> tuple:
     """Inclusion-exclusion of the tight right-hand sides: the ground truth y."""
-    if tree.nu > max_nu:
-        raise BoundExceeded(f"nu = {tree.nu} exceeds the bound {max_nu}")
+    check_bound(tree, max_nu)
     vertices = sorted(tree.standard)
     z = {frozenset(): 0}
     for r in range(1, len(vertices) + 1):
@@ -239,4 +232,4 @@ def moebius_oracle(tree: SignedTree, max_nu: int = 7) -> tuple:
                 for sub in combinations(members, k):
                     value += (-1) ** (len(subset) - k) * z[frozenset(sub)]
             y.append((subset, value))
-    return tuple(sorted(y, key=_subset_key))
+    return tuple(sorted(y, key=lambda kv: subset_key(kv[0])))

@@ -22,6 +22,7 @@ from itertools import product
 from typing import Iterable, Mapping, Optional
 
 from .errors import (
+    BoundExceeded,
     DuplicateId,
     EmptyTree,
     NotATree,
@@ -117,6 +118,11 @@ class SignedTree:
         return frozenset(self.standard)
 
     @cached_property
+    def standard_index(self) -> Mapping:
+        """Standard vertex -> i, its bit 1 << i in a subset mask."""
+        return {v: i for i, v in enumerate(self.standard)}
+
+    @cached_property
     def adjacency(self) -> Mapping:
         adj = {v: [] for v in self.vertices}
         for u, v in self.edges:
@@ -195,15 +201,17 @@ class SignedTree:
     def cut_masks(self) -> tuple:
         """The vertex cuts of the tree as standard-vertex bit masks.
 
-        Standard vertex i of `standard` is the bit 1 << i.  Entry i holds
-        one mask per component of the tree minus standard vertex i: the
-        standard vertices of that component.  Components made of phantoms
-        alone are left out.
+        Entry i holds one mask (bits as in `standard_index`) per component
+        of the tree minus standard vertex i: the standard vertices of that
+        component.  Components made of phantoms alone are left out.
         """
-        bit = {v: 1 << i for i, v in enumerate(self.standard)}
+        index = self.standard_index
         cuts = []
         for w in self.standard:
-            masks = (sum(bit.get(x, 0) for x in c) for c in self.components((w,)))
+            masks = (
+                sum(1 << index[x] for x in c if x in index)
+                for c in self.components((w,))
+            )
             cuts.append(tuple(mask for mask in masks if mask))
         return tuple(cuts)
 
@@ -220,6 +228,17 @@ class SignedTree:
                     comp.add(y)
                     stack.append(y)
         return frozenset(comp)
+
+
+def subset_key(subset: frozenset) -> tuple:
+    """The canonical order of vertex subsets: by size, then sorted members."""
+    return (len(subset), tuple(sorted(subset)))
+
+
+def check_bound(tree: SignedTree, max_nu: int) -> None:
+    """Refuse exponential work on a tree with more than `max_nu` standard vertices."""
+    if tree.nu > max_nu:
+        raise BoundExceeded(f"nu = {tree.nu} exceeds the bound {max_nu}")
 
 
 _MEMO = weakref.WeakKeyDictionary()  # tree -> {(function, args): value}
@@ -271,6 +290,8 @@ def build_tree(vertex_specs: Iterable, edge_pairs: Iterable) -> SignedTree:
             raise PreconditionViolated(f"vertex id {vid!r} is not hashable") from None
         if duplicate:
             raise DuplicateId(f"duplicate vertex id {vid!r}")
+        if vid != vid:  # NaN: no lookup or comparison could find it again
+            raise PreconditionViolated(f"vertex id {vid!r} does not equal itself")
         ids.append(vid)
         # phantom vertices carry no sign; store NEGATIVE as the fixed filler
         signs[vid] = Sign.NEGATIVE if phantom else Sign.parse(sign)

@@ -14,10 +14,10 @@ from enum import Enum
 from itertools import permutations
 from typing import Iterable, Optional
 
-from .errors import BoundExceeded, InvalidOrder, VerificationFailure
+from .errors import InvalidOrder, VerificationFailure
 from .fans import fiber, kappa, _check_order
 from .spines import enumerate_maximal_spines, flip_graph
-from .trees import SignedTree
+from .trees import SignedTree, check_bound
 
 
 class Comparison(Enum):
@@ -157,8 +157,7 @@ def congruence_diagnostics(
     order preserving.  With `first_witness_only` the search stops at the
     first non-interval fiber.
     """
-    if tree.nu > max_nu:
-        raise BoundExceeded(f"nu = {tree.nu} exceeds the bound {max_nu}")
+    check_bound(tree, max_nu)
     base = _check_order(tree, base)
     vertices = sorted(tree.standard)
     base_pairs = [

@@ -50,3 +50,16 @@ def signed_trees(draw, min_nu=1, max_nu=6):
         edges.append((parent, i))
     signs = [draw(st.sampled_from("-+")) for _ in range(n)]
     return build_tree([(i + 1, signs[i]) for i in range(n)], edges)
+
+
+@st.composite
+def phantom_trees(draw, max_vertices=9):
+    """Random trees with random phantom vertices, at least one vertex standard."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    edges = [(draw(st.integers(1, i - 1)), i) for i in range(2, n + 1)]
+    phantoms = [draw(st.booleans()) for _ in range(n)]
+    phantoms[draw(st.integers(0, n - 1))] = False
+    signs = [draw(st.sampled_from("-+")) for _ in range(n)]
+    return build_tree(
+        [(i + 1, signs[i], phantoms[i]) for i in range(n)], edges
+    )

@@ -2,7 +2,6 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from arbora import catalog
 from arbora.blocks import (
@@ -21,7 +20,7 @@ from arbora.blocks import (
 from arbora.errors import IrrelevantBlock, UnknownEdge, UnknownVertex
 from arbora.trees import Sign, build_tree
 
-from conftest import signed_trees
+from conftest import phantom_trees, signed_trees
 
 
 def blocks_as_lists(tree):
@@ -78,19 +77,6 @@ def assert_held_together_matches_paths(tree):
             assert held_together(tree, vertices, deleted) is expected, (
                 tree, vertices, deleted
             )
-
-
-@st.composite
-def phantom_trees(draw, max_vertices=9):
-    """Random trees with random phantom vertices, at least one vertex standard."""
-    n = draw(st.integers(min_value=1, max_value=max_vertices))
-    edges = [(draw(st.integers(1, i - 1)), i) for i in range(2, n + 1)]
-    phantoms = [draw(st.booleans()) for _ in range(n)]
-    phantoms[draw(st.integers(0, n - 1))] = False
-    signs = [draw(st.sampled_from("-+")) for _ in range(n)]
-    return build_tree(
-        [(i + 1, signs[i], phantoms[i]) for i in range(n)], edges
-    )
 
 
 class TestRecognition:

@@ -12,6 +12,8 @@ from arbora.cli import main
 from arbora.catalog import htree_eq, path_neg, tripod_neg
 from arbora.trees import signature_classes, tree_to_json, unsigned_automorphisms
 
+from conftest import phantom_trees
+
 
 TRIPOD_NEG_DOC = {
     "vertices": [
@@ -277,6 +279,17 @@ class TestExitCodes:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["blocks", "minkowski"])
+    def test_nan_id_refused(self, tmp_path, capsys, command):
+        path = tmp_path / "nan.json"
+        path.write_text('{"vertices":[{"id":NaN},{"id":2}],"edges":[[NaN,2]]}')
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_blocks_bound(self, tmp_path, capsys):
         path = tmp_path / "path21.json"
         path.write_text(json.dumps(tree_to_json(path_neg(21))))
@@ -326,6 +339,23 @@ def tree_documents(draw):
     return {"vertices": vertices, "edges": edges}
 
 
+def fuzz_documents():
+    """Half the time a valid tree with phantoms, else any `tree_documents` file."""
+    return st.builds(tree_to_json, phantom_trees(max_vertices=6)) | tree_documents()
+
+
+def document_ids(document, standard_only=False):
+    """The ids of the file's vertices as written on a command line, if it has any."""
+    try:
+        return [
+            str(vertex["id"])
+            for vertex in document["vertices"]
+            if not (standard_only and vertex.get("phantom") is True)
+        ]
+    except (AttributeError, KeyError, TypeError):
+        return []
+
+
 FUZZED_COMMANDS = (
     "blocks",
     "complex",
@@ -335,17 +365,45 @@ FUZZED_COMMANDS = (
     "barycenter",
     "signature-sweep",
     "minkowski",
+    "kappa",
+    "congruence-check",
+    "isometric",
 )
 
 
-@given(tree_documents(), st.sampled_from(FUZZED_COMMANDS))
+@st.composite
+def fuzz_runs(draw):
+    """A command, its tree files, and an `--order` drawn from the first file's ids.
+
+    The order is mostly a permutation of the ids not marked phantom, else
+    any list of ids; `isometric` compares the file with itself or another.
+    """
+    command = draw(st.sampled_from(FUZZED_COMMANDS))
+    documents = [draw(fuzz_documents())]
+    options = []
+    if command == "isometric":
+        documents.append(draw(st.just(documents[0]) | fuzz_documents()))
+    if command in ("kappa", "congruence-check"):
+        ids = document_ids(documents[0])
+        orders = st.permutations(document_ids(documents[0], standard_only=True))
+        if ids:
+            orders |= st.lists(st.sampled_from(ids), max_size=7)
+        options = ["--order=" + ",".join(draw(orders))]  # an id may start with "-"
+    return command, documents, options
+
+
+@given(fuzz_runs())
 @settings(max_examples=150, deadline=None)
-def test_any_tree_file_exits_cleanly(tmp_path_factory, document, command):
-    path = tmp_path_factory.getbasetemp() / "fuzz_tree.json"
-    path.write_text(json.dumps(document))
+def test_any_tree_file_exits_cleanly(tmp_path_factory, run):
+    command, documents, options = run
+    paths = []
+    for i, document in enumerate(documents):
+        path = tmp_path_factory.getbasetemp() / f"fuzz_tree_{i}.json"
+        path.write_text(json.dumps(document))
+        paths.append(str(path))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main([command, str(path)])
+        code = main([command, *paths, *options])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
 

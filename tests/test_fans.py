@@ -3,6 +3,8 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 
+from arbora import catalog
+from arbora.blocks import open_components
 from arbora.errors import InvalidOrder, NotAdjacent
 from arbora.fans import (
     adjacent_congruent,
@@ -13,13 +15,56 @@ from arbora.fans import (
     orientation_of_order,
 )
 from arbora.spines import (
+    Spine,
     contract_arc,
     enumerate_maximal_spines,
     tree_orientation_of_spine,
 )
 from arbora.catalog import path_neg
 
-from conftest import signed_trees
+from conftest import phantom_trees, signed_trees
+
+
+def piece_sweep(tree, order):
+    """Oracle: the sweep that tracks the open components themselves.
+
+    Each piece is (interior, boundary, tail).  A negative v merges the
+    pieces it bounds and receives their tails; a positive v splits the
+    piece holding it and receives that piece's tail.
+    """
+
+    def boundary(interior):
+        return frozenset(
+            n for x in interior for n in tree.adjacency[x] if n not in interior
+        )
+
+    entries = [(p.interior, p.boundary, None) for p in open_components(tree, tree.negatives)]
+    arcs = []
+    for v in order:
+        label = frozenset({v})
+        if v in tree.negatives:
+            consumed = [e for e in entries if v in e[1]]
+            entries = [e for e in entries if v not in e[1]]
+            interior = label.union(*(e[0] for e in consumed))
+            arcs.extend((tail, label) for _, _, tail in consumed if tail is not None)
+            entries.append((interior, boundary(interior), label))
+        else:
+            (host,) = [e for e in entries if v in e[0]]
+            entries.remove(host)
+            if host[2] is not None:
+                arcs.append((host[2], label))
+            remaining = host[0] - {v}
+            for comp in tree.components(frozenset(tree.vertices) - remaining):
+                entries.append((comp, boundary(comp), label))
+            for n in tree.adjacency[v]:
+                if n not in remaining:
+                    entries.append((frozenset(), frozenset({v, n}), label))
+    return Spine.make([frozenset({v}) for v in order], arcs)
+
+
+def assert_sweeps_agree(tree):
+    for order in permutations(sorted(tree.standard)):
+        assert kappa(tree, order) == piece_sweep(tree, order), order
 
 
 class TestKappa:
@@ -49,6 +94,20 @@ class TestKappa:
                 for v in tree.standard:
                     if u != v and spine.below(u, v):
                         assert position[u] < position[v]
+
+
+    def test_equals_piece_sweep_on_corpus(self):
+        for tree in catalog.corpus(max_nu=5):
+            assert_sweeps_agree(tree)
+
+    @pytest.mark.parametrize("name", sorted(catalog.NAMED_TREES))
+    def test_equals_piece_sweep_on_named_trees(self, name):
+        assert_sweeps_agree(catalog.NAMED_TREES[name]())
+
+    @given(phantom_trees(max_vertices=8).filter(lambda tree: tree.nu <= 6))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_piece_sweep_with_phantoms(self, tree):
+        assert_sweeps_agree(tree)
 
 
 class TestKappaExtended:

@@ -62,6 +62,13 @@ class TestBuildTree:
         with pytest.raises(EmptyTree):
             build_tree([(1, "-", True)], [])
 
+    def test_nan_id_rejected(self):
+        nan = float("nan")
+        with pytest.raises(PreconditionViolated):
+            build_tree([(nan, "-"), (2, "-")], [(nan, 2)])
+        with pytest.raises(PreconditionViolated):
+            tree_from_json('{"vertices": [{"id": NaN}, {"id": 2}], "edges": [[NaN, 2]]}')
+
     def test_json_roundtrip(self, p3mix):
         assert tree_from_json(tree_to_json(p3mix)) == p3mix
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Sweep the small-tree corpus: for every signature of every shape, verify
-the realization certificate, the fiber partition, the singleton recursion,
-and the coefficient oracle.  Prints one summary line per shape."""
+the realization certificate, the fan certificate, the pseudo-manifold
+check, the fiber partition, the singleton recursion, and the coefficient
+oracle.  Prints one summary line per shape."""
 
 import argparse
 import sys
@@ -11,7 +12,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from arbora.catalog import all_signatures, tree_shapes
-from arbora.fans import fiber
+from arbora.complexes import is_pseudomanifold
+from arbora.fans import fan_cover_check, fiber
 from arbora.geometry import singleton_count_recursive, verify_realization
 from arbora.minkowski import minkowski_coefficients
 from arbora.spines import enumerate_maximal_spines
@@ -29,6 +31,9 @@ def main():
             singleton_counts = set()
             for tree in all_signatures(edges, n):
                 assert verify_realization(tree)
+                fan_cover_check(tree, max_nu=args.max_nu)
+                # below two standard vertices the complex has no ridges
+                assert n < 2 or is_pseudomanifold(tree)
                 spines = enumerate_maximal_spines(tree)
                 assert sum(len(fiber(tree, s)) for s in spines) == factorial(n)
                 singleton_counts.add(singleton_count_recursive(tree))

@@ -3,40 +3,61 @@
 Faces are pairwise-compatible sets of relevant blocks.  Facets are taken
 from the flip graph of maximal spines (connected, output-linear) rather
 than from a clique search; the clique route stays available in the tests
-as an independent oracle.
+as an independent oracle.  Internally a face is an `int` mask over the
+relevant blocks and the faces of a facet are its submasks; frozensets are
+built only for the faces returned, in canonical order: by the sorted tuple
+of their blocks' sorted members.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .blocks import enumerate_blocks
 from .errors import NotABuildingBlock
 from .spines import enumerate_maximal_spines
 from .trees import SignedTree
 
 
-def _face_key(face: frozenset) -> tuple:
-    return tuple(sorted((tuple(sorted(b)) for b in face)))
+def _numbered_facets(tree: SignedTree) -> tuple:
+    """The relevant blocks, numbered by sorted members, and the facets as masks.
+
+    Ascending bit indices (`_indices`) then sort faces in canonical order.
+    """
+    blocks = tuple(sorted(enumerate_blocks(tree), key=sorted))
+    bit = {block: 1 << i for i, block in enumerate(blocks)}
+    spines = enumerate_maximal_spines(tree)
+    return blocks, [sum(bit[b] for b in s.key()) for s in spines]
 
 
-def _facets(tree: SignedTree) -> tuple:
-    facets = [s.key() for s in enumerate_maximal_spines(tree)]
-    return tuple(sorted(facets, key=_face_key))
+def _indices(mask: int) -> tuple:
+    """The set bits of a mask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _faces(facets: Iterable) -> set:
+    """Every submask of every facet, by the walk `sub = (sub - 1) & facet`."""
+    faces = {0}
+    for facet in facets:
+        sub = facet
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & facet
+    return faces
+
+
+def _as_faces(blocks: tuple, masks: Iterable) -> tuple:
+    """The masks as faces of blocks, ordered by size and then canonically."""
+    keyed = sorted((m.bit_count(), _indices(m)) for m in masks)
+    return tuple(frozenset(blocks[i] for i in indices) for _, indices in keyed)
 
 
 def enumerate_nested_sets(tree: SignedTree, max_only: bool = False) -> tuple:
     """All nested sets (or only the maximal ones), canonically ordered."""
-    facets = _facets(tree)
-    if max_only:
-        return facets
-    faces = set()
-    for facet in facets:
-        blocks = sorted(facet, key=lambda b: tuple(sorted(b)))
-        n = len(blocks)
-        for mask in range(1 << n):
-            faces.add(frozenset(blocks[i] for i in range(n) if mask >> i & 1))
-    return tuple(sorted(faces, key=lambda f: (len(f), _face_key(f))))
+    blocks, facets = _numbered_facets(tree)
+    return _as_faces(blocks, facets if max_only else _faces(facets))
 
 
 @dataclass(frozen=True)
@@ -46,34 +67,29 @@ class ComplexStats:
 
 
 def complex_stats(tree: SignedTree) -> ComplexStats:
-    faces = enumerate_nested_sets(tree)
-    facets = _facets(tree)
-    nu = tree.nu
-    f = [0] * nu
-    for face in faces:
-        f[len(face)] += 1
-    incidence = {}
-    for facet in facets:
-        for block in facet:
-            incidence[block] = incidence.get(block, 0) + 1
-    return ComplexStats(tuple(f), tuple(sorted(incidence.values())))
+    """The f-vector and the number of facets through each block.
+
+    The f-vector is the popcount histogram of the submasks of the facets.
+    """
+    _, facets = _numbered_facets(tree)
+    f = Counter(face.bit_count() for face in _faces(facets))
+    incidence = Counter(i for facet in facets for i in _indices(facet))
+    return ComplexStats(
+        tuple(f[k] for k in range(tree.nu)), tuple(sorted(incidence.values()))
+    )
 
 
 def link_faces(tree: SignedTree, block: Iterable) -> tuple:
-    """Faces of the link of a relevant block, from the facet list."""
-    block = frozenset(block)
-    from .blocks import enumerate_blocks
+    """Faces of the link of a relevant block.
 
-    if block not in set(enumerate_blocks(tree)):
+    They are the submasks of the facets through the block, with it removed.
+    """
+    block = frozenset(block)
+    if block not in enumerate_blocks(tree):
         raise NotABuildingBlock(f"{sorted(block)} is not a relevant block")
-    faces = set()
-    for facet in _facets(tree):
-        if block in facet:
-            rest = sorted(facet - {block}, key=lambda b: tuple(sorted(b)))
-            n = len(rest)
-            for mask in range(1 << n):
-                faces.add(frozenset(rest[i] for i in range(n) if mask >> i & 1))
-    return tuple(sorted(faces, key=lambda f: (len(f), _face_key(f))))
+    blocks, facets = _numbered_facets(tree)
+    bit = 1 << blocks.index(block)
+    return _as_faces(blocks, _faces(f ^ bit for f in facets if f & bit))
 
 
 @dataclass(frozen=True)
@@ -91,15 +107,11 @@ def is_pseudomanifold(tree: SignedTree) -> PseudoManifoldCheck:
     Meaningful for trees with at least two standard vertices (below that
     the complex has no ridges).
     """
-    facets = _facets(tree)
-    counts = {}
-    for facet in facets:
-        for block in facet:
-            ridge = facet - {block}
-            counts[ridge] = counts.get(ridge, 0) + 1
-        if not facet:
-            counts[frozenset()] = counts.get(frozenset(), 0)
-    for ridge, count in sorted(counts.items(), key=lambda kv: _face_key(kv[0])):
-        if count != 2:
-            return PseudoManifoldCheck(False, (ridge, count))
+    blocks, facets = _numbered_facets(tree)
+    counts = Counter(f ^ 1 << i for f in facets for i in _indices(f))
+    # the one facet of a one-vertex tree is empty: report the empty face, in no facet
+    for ridge in sorted(counts or [0], key=_indices):
+        if counts[ridge] != 2:
+            face = _as_faces(blocks, [ridge])[0]
+            return PseudoManifoldCheck(False, (face, counts[ridge]))
     return PseudoManifoldCheck(True)

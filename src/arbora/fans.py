@@ -8,12 +8,17 @@ unswept negatives and the swept positives deleted, v receives an arc from
 each earlier vertex u that is held together with v but not with the tail
 of an arc that v already received, walking back from the latest vertex.
 A positive vertex receives one arc, a negative one at most one per tree
-neighbour.
+neighbour.  `fan_cover_check` certifies that the spine cones tile the braid
+fan in integers only: each cone is simplicial when one fraction-free
+(Bareiss) determinant of its 0/1 rays and the all-ones row is nonzero.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import permutations
+from math import factorial
 from typing import Iterable
 
 from .blocks import held_together
@@ -24,7 +29,7 @@ from .errors import (
     NotMaximal,
     VerificationFailure,
 )
-from .spines import Spine
+from .spines import Spine, contract_arc, flip_graph
 from .trees import SignedTree, canonical_edge, check_bound, tree_cached
 
 
@@ -59,8 +64,6 @@ def kappa_extended(tree: SignedTree, partition: Iterable) -> Spine:
     level = {v: i for i, p in enumerate(parts) for v in p}
     refinement = tuple(v for p in parts for v in sorted(p))
     spine = _sweep(tree, refinement)
-    from .spines import contract_arc
-
     while True:
         for tail, head in spine.arcs:
             if level[next(iter(tail))] == level[next(iter(head))]:
@@ -184,28 +187,23 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
     (a) every linear order is a linear extension of its sweep image and the
     fibers partition all orders; (b) flip-adjacent cones sit on opposite
     sides of the wall of the reversed arc; (c) each maximal cone is
-    simplicial: the sink-set indicator vectors of its arcs are independent
-    modulo the all-ones line and satisfy every arc inequality.
+    simplicial: its nu - 1 sink-set indicator vectors satisfy every arc
+    inequality and are independent modulo the all-ones line, that is, the
+    0/1 matrix of the rays and the all-ones row has a nonzero integer
+    determinant.  A failed check raises with every failure kind, sorted by
+    name, its count and its first witness.
     """
-    from fractions import Fraction
-    from itertools import permutations
-
-    from .spines import flip_graph
-
     check_bound(tree, max_nu)
     failures = []
     graph = flip_graph(tree)
     spines = graph.spines
 
     # (a) fibers partition the orders
+    fibers = {s.key(): fiber(tree, s) for s in spines}
+    order_count = sum(map(len, fibers.values()))
     seen_orders = set()
-    order_count = 0
-    fibers = {}
-    for s in spines:
-        fib = fiber(tree, s)
-        fibers[s.key()] = fib
+    for fib in fibers.values():
         for order in fib:
-            order_count += 1
             if order in seen_orders:
                 failures.append(("duplicate-order", order))
             seen_orders.add(order)
@@ -215,16 +213,12 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
             failures.append(("sweep-misses-facet", order))
         elif order not in fibers[image.key()]:
             failures.append(("order-outside-its-fiber", order))
-    import math
-
-    if order_count != math.factorial(tree.nu):
+    if order_count != factorial(tree.nu):
         failures.append(("fiber-sizes", order_count))
 
     # (b) walls separate flip-adjacent cones
     for s, targets in zip(spines, graph.neighbors):
-        for arc, j in zip(s.arcs, targets):
-            (u,) = arc[0]
-            (v,) = arc[1]
+        for ((u,), (v,)), j in zip(s.arcs, targets):
             for order in fibers[s.key()]:
                 if order.index(u) > order.index(v):
                     failures.append(("wall-side", (u, v, order)))
@@ -232,55 +226,44 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
                 if order.index(v) > order.index(u):
                     failures.append(("wall-side-neighbor", (u, v, order)))
 
-    # (c) simplicial cones with independent ray vectors
+    # (c) simplicial cones: rays independent modulo the all-ones line
     vertices = sorted(tree.standard)
     for s in spines:
         rays = []
         for arc in s.arcs:
             sink = s.sink_set(arc)
-            rays.append([Fraction(1 if v in sink else 0) for v in vertices])
-            for tail, head in s.arcs:
-                (tu,) = tail
-                (th,) = head
-                if (1 if tu in sink else 0) > (1 if th in sink else 0):
+            rays.append([1 if v in sink else 0 for v in vertices])
+            for (tu,), (th,) in s.arcs:
+                if tu in sink and th not in sink:
                     failures.append(("ray-violates-arc", (sorted(sink), tu, th)))
         if len(s.arcs) != tree.nu - 1:
             failures.append(("arc-count", s.key()))
-        if _rank_mod_ones(rays) != len(rays):
+        elif _determinant(rays + [[1] * tree.nu]) == 0:
             failures.append(("rays-dependent", sorted(map(sorted, s.key()))))
 
     if failures:
-        raise VerificationFailure(f"fan check failed: {failures[:3]}")
+        counts = Counter(kind for kind, _ in failures)
+        first = dict(reversed(failures))  # the first witness of each kind
+        kinds = sorted(counts)
+        summary = "; ".join(f"{k} x{counts[k]}, first {first[k]}" for k in kinds)
+        raise VerificationFailure(f"fan check failed: {summary}")
     return FanCertificate(True, len(spines), order_count)
 
 
-def _rank_mod_ones(rays) -> int:
-    """Rank of the ray vectors after quotienting by the all-ones direction."""
-    from fractions import Fraction
-
-    if not rays:
-        return 0
-    n = len(rays[0])
-    rows = []
-    for ray in rays:
-        mean = sum(ray, Fraction(0)) / n
-        rows.append([x - mean for x in ray])
-    rank = 0
-    cols = list(range(n))
-    for col in cols:
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
+def _determinant(rows: list) -> int:
+    """Bareiss (fraction-free) integer determinant: every division is exact."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, previous = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        factor = rows[rank][col]
-        rows[rank] = [x / factor for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                scale = rows[r][col]
-                rows[r] = [a - scale * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
+        previous = m[k][k]
+    return sign * previous

@@ -84,6 +84,9 @@ class RealizationCertificate:
         return self.passed
 
 
+MAX_NU = 10  # bound of realize_polytope and barycenter, which build every maximal spine
+
+
 @dataclass(frozen=True)
 class PolytopeDescription:
     vertices: tuple  # (spine, coords dict) pairs
@@ -91,7 +94,7 @@ class PolytopeDescription:
     certificate: RealizationCertificate
 
 
-def realize_polytope(tree: SignedTree, max_nu: int = 10) -> PolytopeDescription:
+def realize_polytope(tree: SignedTree, max_nu: int = MAX_NU) -> PolytopeDescription:
     """Vertex and facet descriptions with a verification certificate."""
     check_bound(tree, max_nu)
     spines = flip_graph(tree).spines
@@ -306,7 +309,8 @@ def _phantomize_vertex(tree: SignedTree, vertex) -> SignedTree:
 
 
 def barycenter(tree: SignedTree) -> dict:
-    """Exact vertex barycenter of the realization."""
+    """Exact vertex barycenter of the realization, under the polytope's bound."""
+    check_bound(tree, MAX_NU)
     spines = enumerate_maximal_spines(tree)
     totals = {v: Fraction(0) for v in tree.standard}
     for spine in spines:

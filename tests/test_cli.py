@@ -298,6 +298,16 @@ class TestExitCodes:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: nu = 21 exceeds the bound 20\n"
+
+    @pytest.mark.parametrize("n", [11, 21])
+    def test_barycenter_bound(self, n, tmp_path, capsys):
+        path = tmp_path / f"path{n}.json"
+        path.write_text(json.dumps(tree_to_json(path_neg(n))))
+        code = main(["barycenter", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: nu = {n} exceeds the bound 10\n"
         assert "Traceback" not in captured.err
 
 

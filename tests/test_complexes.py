@@ -3,24 +3,29 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
+from arbora import catalog
 from arbora.blocks import compatible, enumerate_blocks
 from arbora.complexes import (
+    ComplexStats,
+    PseudoManifoldCheck,
     complex_stats,
     enumerate_nested_sets,
     is_pseudomanifold,
     link_faces,
 )
 from arbora.errors import NotABuildingBlock
+from arbora.spines import enumerate_maximal_spines
 from arbora.trees import (
     FlipAllSigns,
     FlipLeafSign,
     Relabel,
     SwitchAdjacent,
+    build_tree,
     phantom_split,
     transform,
 )
 
-from conftest import signed_trees
+from conftest import phantom_trees, signed_trees
 
 
 def clique_facets(tree):
@@ -50,6 +55,84 @@ def clique_facets(tree):
 
     grow([], blocks)
     return {f for f in facets if not any(f < g for g in facets)}
+
+
+def _face_key(face):
+    return tuple(sorted((tuple(sorted(b)) for b in face)))
+
+
+def _expand(facets):
+    """Oracle: every subset of every facet, as a frozenset of blocks."""
+    faces = set()
+    for facet in facets:
+        blocks = sorted(facet, key=lambda b: tuple(sorted(b)))
+        n = len(blocks)
+        for mask in range(1 << n):
+            faces.add(frozenset(blocks[i] for i in range(n) if mask >> i & 1))
+    return tuple(sorted(faces, key=lambda f: (len(f), _face_key(f))))
+
+
+def oracle_facets(tree):
+    return tuple(sorted((s.key() for s in enumerate_maximal_spines(tree)), key=_face_key))
+
+
+def oracle_stats(tree, facets):
+    f = [0] * tree.nu
+    for face in _expand(facets):
+        f[len(face)] += 1
+    incidence = {}
+    for facet in facets:
+        for block in facet:
+            incidence[block] = incidence.get(block, 0) + 1
+    return ComplexStats(tuple(f), tuple(sorted(incidence.values())))
+
+
+def oracle_pseudomanifold(facets):
+    counts = {}
+    for facet in facets:
+        for block in facet:
+            ridge = facet - {block}
+            counts[ridge] = counts.get(ridge, 0) + 1
+        if not facet:
+            counts[frozenset()] = counts.get(frozenset(), 0)
+    for ridge, count in sorted(counts.items(), key=lambda kv: _face_key(kv[0])):
+        if count != 2:
+            return PseudoManifoldCheck(False, (ridge, count))
+    return PseudoManifoldCheck(True)
+
+
+def assert_masks_match_frozensets(tree):
+    """The mask-based complex against the frozenset expansion it replaced."""
+    facets = oracle_facets(tree)
+    assert enumerate_nested_sets(tree, max_only=True) == facets
+    assert enumerate_nested_sets(tree) == _expand(facets)
+    assert complex_stats(tree) == oracle_stats(tree, facets)
+    for block in enumerate_blocks(tree):
+        link = _expand(facet - {block} for facet in facets if block in facet)
+        assert link_faces(tree, block) == link
+    assert is_pseudomanifold(tree) == oracle_pseudomanifold(facets)
+
+
+class TestMasksAgreeWithFrozensets:
+    def test_corpus(self):
+        for tree in catalog.corpus(max_nu=5):
+            assert_masks_match_frozensets(tree)
+
+    @given(phantom_trees(max_vertices=8).filter(lambda tree: tree.nu <= 5))
+    @settings(max_examples=40, deadline=None)
+    def test_phantom_trees(self, tree):
+        assert_masks_match_frozensets(tree)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            build_tree([(1, "-")], []),
+            build_tree([(1, "+"), (2, "-", True)], [(1, 2)]),
+        ],
+    )
+    def test_one_vertex_witness(self, tree):
+        assert is_pseudomanifold(tree) == PseudoManifoldCheck(False, (frozenset(), 0))
+        assert complex_stats(tree) == ComplexStats((1,), ())
 
 
 class TestFacets:

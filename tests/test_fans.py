@@ -1,12 +1,16 @@
+from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arbora import catalog
+from arbora import catalog, fans
 from arbora.blocks import open_components
-from arbora.errors import InvalidOrder, NotAdjacent
+from arbora.errors import InvalidOrder, NotAdjacent, VerificationFailure
 from arbora.fans import (
+    _determinant,
     adjacent_congruent,
     fan_cover_check,
     fiber,
@@ -18,6 +22,7 @@ from arbora.spines import (
     Spine,
     contract_arc,
     enumerate_maximal_spines,
+    flip_graph,
     tree_orientation_of_spine,
 )
 from arbora.catalog import path_neg
@@ -314,3 +319,128 @@ class TestFanCoverage:
 
         with pytest.raises(BoundExceeded):
             fan_cover_check(spider7, max_nu=5)
+
+    def test_corpus_passes(self):
+        for tree in catalog.corpus(max_nu=5):
+            certificate = fan_cover_check(tree)
+            assert certificate.passed, tree
+            assert certificate.cones == len(enumerate_maximal_spines(tree))
+            assert certificate.order_count == factorial(tree.nu)
+
+    def test_reports_every_dependent_cone(self, htree_eq, monkeypatch):
+        monkeypatch.setattr(fans, "_determinant", lambda rows: 0)
+        with pytest.raises(VerificationFailure) as failure:
+            fan_cover_check(htree_eq)
+        first = sorted(map(sorted, flip_graph(htree_eq).spines[0].key()))
+        assert str(failure.value) == (
+            f"fan check failed: rays-dependent x214, first {first}"
+        )
+
+    def test_reports_every_order_outside_its_fiber(self, htree_eq, monkeypatch):
+        fixed = flip_graph(htree_eq).spines[0]
+        inside = fiber(htree_eq, fixed)
+        outside = [o for o in permutations(range(1, 7)) if o not in inside]
+        monkeypatch.setattr(fans, "kappa", lambda tree, order: fixed)
+        with pytest.raises(VerificationFailure) as failure:
+            fan_cover_check(htree_eq)
+        assert len(outside) == 720 - len(inside) > 0
+        assert str(failure.value) == (
+            f"fan check failed: order-outside-its-fiber x{len(outside)}, "
+            f"first {outside[0]}"
+        )
+
+
+def _rank_mod_ones(rays) -> int:
+    """Oracle: rank of the ray vectors after quotienting by the all-ones
+    direction, by Gaussian elimination on mean-centred `Fraction` rows."""
+    if not rays:
+        return 0
+    n = len(rays[0])
+    rows = []
+    for ray in rays:
+        mean = sum(ray, Fraction(0)) / n
+        rows.append([x - mean for x in ray])
+    rank = 0
+    for col in range(n):
+        pivot = None
+        for r in range(rank, len(rows)):
+            if rows[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        factor = rows[rank][col]
+        rows[rank] = [x / factor for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                scale = rows[r][col]
+                rows[r] = [a - scale * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def leibniz(rows) -> int:
+    """Oracle: the determinant as a signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def spine_rays(tree, spine):
+    vertices = sorted(tree.standard)
+    return [
+        [1 if v in spine.sink_set(arc) else 0 for v in vertices] for arc in spine.arcs
+    ]
+
+
+class TestDeterminant:
+    def test_agrees_with_fraction_rank_on_every_corpus_spine(self):
+        checked = 0
+        for tree in catalog.corpus(max_nu=5):
+            for spine in enumerate_maximal_spines(tree):
+                rays = spine_rays(tree, spine)
+                det = _determinant(rays + [[1] * tree.nu])
+                assert (det != 0) == (_rank_mod_ones(rays) == len(rays))
+                assert abs(det) == 1, (tree, spine)
+                checked += 1
+        assert checked > 6000
+
+    @pytest.mark.parametrize(
+        "rays",
+        [
+            [[1, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0]],  # a repeated ray
+            [[1, 1, 1, 1], [1, 0, 0, 0], [0, 1, 0, 0]],  # a ray equal to all ones
+            [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]],  # a sum of two others
+        ],
+    )
+    def test_singular_rays(self, rays):
+        assert _determinant(rays + [[1, 1, 1, 1]]) == 0
+        assert _rank_mod_ones(rays) < len(rays)
+
+    def test_independent_rays(self):
+        rays = [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0]]
+        assert abs(_determinant(rays + [[1, 1, 1, 1]])) == 1
+        assert _rank_mod_ones(rays) == 3
+
+    def test_empty_matrix(self):
+        assert _determinant([]) == 1
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_leibniz(self, rows):
+        assert _determinant(rows) == leibniz(rows)

@@ -50,8 +50,10 @@ def cmd_blocks(args) -> int:
 
 def cmd_complex(args) -> int:
     from .complexes import complex_stats, enumerate_nested_sets
+    from .geometry import MAX_NU
 
     tree = _load_tree(args.tree)
+    check_bound(tree, MAX_NU)
     stats = complex_stats(tree)
     facets = enumerate_nested_sets(tree, max_only=True)
     _emit(
@@ -95,9 +97,11 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_flipgraph(args) -> int:
+    from .geometry import MAX_NU
     from .spines import flip_graph, spine_to_json
 
     tree = _load_tree(args.tree)
+    check_bound(tree, MAX_NU)
     graph = flip_graph(tree)
     spines = graph.spines
     edges = {
@@ -145,9 +149,10 @@ def cmd_minkowski(args) -> int:
 
 
 def cmd_singletons(args) -> int:
-    from .geometry import singleton_count_recursive, singleton_spines
+    from .geometry import MAX_NU, singleton_count_recursive, singleton_spines
 
     tree = _load_tree(args.tree)
+    check_bound(tree, MAX_NU)
     pairs = singleton_spines(tree)
     recursive = singleton_count_recursive(tree)
     _emit(

@@ -44,12 +44,8 @@ def _check_partition(tree: SignedTree, partition: Iterable) -> tuple:
     parts = tuple(frozenset(p) for p in partition)
     if any(not p for p in parts):
         raise InvalidPartition("empty part")
-    union = set()
-    total = 0
-    for p in parts:
-        union |= p
-        total += len(p)
-    if total != len(union) or union != tree.standard_set:
+    union = frozenset().union(*parts)
+    if sum(map(len, parts)) != len(union) or union != tree.standard_set:
         raise InvalidPartition("parts must partition the standard vertices")
     return parts
 
@@ -198,31 +194,34 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
     graph = flip_graph(tree)
     spines = graph.spines
 
-    # (a) fibers partition the orders
-    fibers = {s.key(): fiber(tree, s) for s in spines}
-    order_count = sum(map(len, fibers.values()))
-    seen_orders = set()
-    for fib in fibers.values():
+    # (a) fibers partition the orders; each order is compared with its owner
+    fibers = [fiber(tree, s) for s in spines]
+    position = {s: i for i, s in enumerate(spines)}
+    owner = {}
+    for s, fib in zip(spines, fibers):
         for order in fib:
-            if order in seen_orders:
+            if order in owner:
                 failures.append(("duplicate-order", order))
-            seen_orders.add(order)
+            owner[order] = s
+    order_count = sum(map(len, fibers))
     for order in permutations(sorted(tree.standard)):
         image = kappa(tree, order)
-        if image.key() not in fibers:
+        if image == owner.get(order):
+            continue
+        if image not in position:
             failures.append(("sweep-misses-facet", order))
-        elif order not in fibers[image.key()]:
+        elif order not in fibers[position[image]]:
             failures.append(("order-outside-its-fiber", order))
     if order_count != factorial(tree.nu):
         failures.append(("fiber-sizes", order_count))
 
     # (b) walls separate flip-adjacent cones
-    for s, targets in zip(spines, graph.neighbors):
+    for s, fib, targets in zip(spines, fibers, graph.neighbors):
         for ((u,), (v,)), j in zip(s.arcs, targets):
-            for order in fibers[s.key()]:
+            for order in fib:
                 if order.index(u) > order.index(v):
                     failures.append(("wall-side", (u, v, order)))
-            for order in fibers[spines[j].key()]:
+            for order in fibers[j]:
                 if order.index(v) > order.index(u):
                     failures.append(("wall-side-neighbor", (u, v, order)))
 

@@ -48,10 +48,7 @@ def vertex_point(tree: SignedTree, spine: Spine) -> dict:
     coords = {}
     for node in spine.nodes:
         (v,) = node
-        if v in tree.negatives:
-            special = spine.outgoing(node)
-        else:
-            special = spine.incoming(node)
+        special = spine.outgoing(node) if v in tree.negatives else spine.incoming(node)
         avoid = special[0] if special else None
         branch_sizes = []
         for arc in spine._incident[node]:
@@ -59,12 +56,8 @@ def vertex_point(tree: SignedTree, spine: Spine) -> dict:
                 continue
             side = spine.source_set(arc) if arc[1] == node else spine.sink_set(arc)
             branch_sizes.append(len(side))
-        total = 1 + sum(branch_sizes)
-        pairs = 0
-        for i in range(len(branch_sizes)):
-            for j in range(i + 1, len(branch_sizes)):
-                pairs += branch_sizes[i] * branch_sizes[j]
-        count = total + pairs
+        pairs = sum(a * b for i, a in enumerate(branch_sizes) for b in branch_sizes[:i])
+        count = 1 + sum(branch_sizes) + pairs
         coords[v] = count if v in tree.negatives else nu + 1 - count
     return coords
 
@@ -138,10 +131,8 @@ def _certify(tree: SignedTree, points: list) -> RealizationCertificate:
                     return RealizationCertificate(False, ("tight", sorted(block)))
             elif value <= bound:
                 return RealizationCertificate(False, ("strict", sorted(block)))
-        for arc, j in zip(spine.arcs, targets):
+        for ((u,), (v,)), j in zip(spine.arcs, targets):
             other = points[j]
-            (u,) = arc[0]
-            (v,) = arc[1]
             delta = {w: other[w] - point[w] for w in point}
             lam = delta[u]
             if lam <= 0 or delta[v] != -lam:
@@ -155,9 +146,7 @@ def parallel_facets(tree: SignedTree) -> tuple:
     """The edge cuts, as complementary block pairs (the only parallel pairs)."""
     from .blocks import edge_blocks
 
-    pairs = []
-    for edge in tree.edges:
-        pairs.append(edge_blocks(tree, edge))
+    pairs = [edge_blocks(tree, edge) for edge in tree.edges]
     return tuple(sorted(pairs, key=lambda p: tuple(sorted(p[0]))))
 
 

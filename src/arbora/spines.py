@@ -10,9 +10,12 @@ flips) is asked of one rule, `blocks.held_together`: no deleted vertex lies
 on the tree path between two vertices of a set.  It is answered from the
 vertex cuts that block convexity uses.  Maximal spines (all labels
 singletons) are the facets of the nested complex; contraction and
-splitting move between ranks; flips move between adjacent facets.
-`flip_graph` is the one place where the flips of a tree are enumerated;
-everything that walks the flip graph reads its neighbour table.
+splitting move between ranks; flips move between adjacent facets.  A flip
+is one rule, `_exchange`, on a maximal spine written as (tail, head,
+source mask) arcs: it exchanges one block of the nested set.  `flip_graph`
+is the one place where the flips of a tree are enumerated, and it validates
+each spine once; everything that walks the flip graph reads its neighbour
+table.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .blocks import Compatibility, compatibility, held_together, open_components
+from .blocks import _convex, _cuts, _mask
 from .errors import (
     ImproperCut,
     InvalidSpine,
@@ -163,12 +167,8 @@ def validate_spine(tree: SignedTree, spine: Spine) -> SpineCheck:
         return SpineCheck(False, "no nodes")
     if any(not label for label in labels):
         return SpineCheck(False, "empty label")
-    union = set()
-    total = 0
-    for label in labels:
-        union |= label
-        total += len(label)
-    if total != len(union):
+    union = frozenset().union(*labels)
+    if sum(map(len, labels)) != len(union):
         return SpineCheck(False, "labels overlap")
     if union != tree.standard_set:
         return SpineCheck(False, "labels do not partition the standard vertices")
@@ -179,18 +179,17 @@ def validate_spine(tree: SignedTree, spine: Spine) -> SpineCheck:
         if tail not in label_set or head not in label_set:
             return SpineCheck(False, "arc endpoint is not a node")
     # connectivity on nodes
-    if labels:
-        seen = {labels[0]}
-        stack = [labels[0]]
-        while stack:
-            cur = stack.pop()
-            for tail, head in spine._incident[cur]:
-                for end in (tail, head):
-                    if end not in seen:
-                        seen.add(end)
-                        stack.append(end)
-        if len(seen) != len(labels):
-            return SpineCheck(False, "arcs do not connect the nodes")
+    seen = {labels[0]}
+    stack = [labels[0]]
+    while stack:
+        cur = stack.pop()
+        for tail, head in spine._incident[cur]:
+            for end in (tail, head):
+                if end not in seen:
+                    seen.add(end)
+                    stack.append(end)
+    if len(seen) != len(labels):
+        return SpineCheck(False, "arcs do not connect the nodes")
 
     for label in labels:
         for arcs, side_set, part, side in (
@@ -277,54 +276,69 @@ def split_node(tree: SignedTree, spine: Spine, node: Iterable, vertex) -> Spine:
     return result
 
 
+def _masked(tree: SignedTree, spine: Spine) -> tuple:
+    """A maximal spine's arcs as (tail, head, source mask), in the spine's order."""
+    source = spine.source_set
+    return tuple((*t, *h, _mask(tree, source((t, h)))) for t, h in spine.arcs)
+
+
+def _exchange(tree: SignedTree, arcs: tuple, k: int) -> tuple:
+    """Flip arc k = u -> v of a maximal spine given as source-mask arcs.
+
+    The incoming arc of u rooted on v's side of the tree (arc_i) moves to v,
+    and the outgoing arc of v sinking on u's side (arc_o) moves to u; a
+    positive u has at most one incoming arc and a negative v at most one
+    outgoing arc, and that arc always moves.  The nested set changes in one
+    block: v -> u takes the source mask ((full ^ S) & ~sink(arc_o)) |
+    source(arc_i), where S is the source mask of u -> v, and every other
+    mask stays.  The arcs come back sorted.
+    """
+    u, v, source = arcs[k]
+    at_u, at_v = _cuts(tree, (u,)), _cuts(tree, (v,))  # [(bit, component masks)]
+    bit_u, bit_v = at_u[0][0], at_v[0][0]
+    full = (1 << tree.nu) - 1
+    exchanged, sink, gained = list(arcs), 0, 0
+    for j, (tail, head, mask) in enumerate(arcs):
+        if head == u and (u in tree.positives or _convex(mask | bit_v, at_u)):
+            exchanged[j], gained = (tail, v, mask), mask
+        elif tail == v and (
+            v in tree.negatives or _convex((full ^ mask) | bit_u, at_v)
+        ):
+            exchanged[j], sink = (u, head, mask), full ^ mask
+    exchanged[k] = (v, u, ((full ^ source) & ~sink) | gained)
+    return tuple(sorted(exchanged))
+
+
+def _spine(tree: SignedTree, labels: Mapping, arcs: tuple) -> Spine:
+    """The maximal spine of sorted source-mask arcs, checked against them.
+
+    It must be a valid spine whose source sets are the masks.  `labels`
+    maps each vertex to its node label, so spines share their labels.
+    """
+    spine = Spine.make(labels.values(), ((labels[u], labels[v]) for u, v, _ in arcs))
+    check = validate_spine(tree, spine)
+    if not check:
+        raise InvalidSpine(f"flip produced an invalid spine: {check.reason}")
+    if _masked(tree, spine) != arcs:
+        raise InvalidSpine("flip produced source masks that are not the spine's")
+    return spine
+
+
 def flip_arc(tree: SignedTree, spine: Spine, arc: tuple) -> Spine:
     """Exchange one arc of a maximal spine for the unique alternative.
 
-    The arc u -> v is reversed; the incoming arc of u rooted on v's side of
-    the tree (when present) is re-attached to v, and the outgoing arc of v
-    sinking on u's side (when present) is re-attached to u.
+    The arc u -> v is reversed, and one arc at each end may move (see
+    `_exchange`): the nested set changes in exactly one block.
     """
     if not spine.is_maximal:
         raise NotMaximal("flips are defined on maximal spines")
     tail, head = (frozenset(arc[0]), frozenset(arc[1]))
     if (tail, head) not in set(spine.arcs):
         raise UnknownArc(f"no arc {arc!r}")
-    (u,) = tail
-    (v,) = head
-
-    # a positive node has a single incoming arc and it always moves; a
-    # negative node moves the incoming arc rooted on v's side of the tree
-    arc_i = None
-    for cand in spine.incoming(tail):
-        if u in tree.positives or held_together(
-            tree, spine.source_set(cand) | head, tail
-        ):
-            arc_i = cand
-            break
-    # dually: a negative node's unique outgoing arc always moves
-    arc_o = None
-    for cand in spine.outgoing(head):
-        if v in tree.negatives or held_together(
-            tree, spine.sink_set(cand) | tail, head
-        ):
-            arc_o = cand
-            break
-
-    new_arcs = []
-    for a in spine.arcs:
-        if a == (tail, head):
-            new_arcs.append((head, tail))
-        elif arc_i is not None and a == arc_i:
-            new_arcs.append((arc_i[0], head))
-        elif arc_o is not None and a == arc_o:
-            new_arcs.append((tail, arc_o[1]))
-        else:
-            new_arcs.append(a)
-    result = Spine.make(spine.nodes, new_arcs)
-    check = validate_spine(tree, result)
-    if not check:
-        raise InvalidSpine(f"flip produced an invalid spine: {check.reason}")
-    return result
+    if not spine.vertices <= tree.standard_set:
+        raise InvalidSpine("spine labels are not standard vertices of the tree")
+    flipped = _exchange(tree, _masked(tree, spine), spine.arcs.index((tail, head)))
+    return _spine(tree, spine.node_of, flipped)
 
 
 @dataclass(frozen=True)
@@ -340,32 +354,36 @@ def flip_graph(tree: SignedTree) -> FlipGraph:
     """All maximal spines and their flips, by breadth-first search over flips.
 
     Seeded at the spine of the canonical vertex order; the flip graph is
-    connected, so the search is exhaustive and output-linear.  Every flip is
-    made exactly once here; a flip landing on a nested set already found
-    must reproduce the stored spine.
+    connected, so the search is exhaustive and output-linear.  The search
+    runs on source-mask arcs: every flip is made exactly once, by
+    `_exchange`, and keyed by its nested set (the set of its source masks).
+    Each new spine is validated once; a flip landing on a nested set
+    already found must reproduce the stored arcs.
     """
     from .fans import kappa
 
-    seed = kappa(tree, tuple(sorted(tree.standard)))
-    found = {seed.key(): seed}
-    flips = {}  # spine key -> the keys of its flips, aligned with its arcs
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for spine in frontier:
-            flips[spine.key()] = targets = []
-            for arc in spine.arcs:
-                neighbor = flip_arc(tree, spine, arc)
-                stored = found.setdefault(neighbor.key(), neighbor)
-                if stored is neighbor:
-                    nxt.append(neighbor)
-                elif stored != neighbor:
-                    raise InvalidSpine("two spines share one nested set")
-                targets.append(neighbor.key())
-        frontier = nxt
-    spines = tuple(sorted(found.values(), key=lambda s: sorted(map(_arc_key, s.arcs))))
-    index = {s.key(): i for i, s in enumerate(spines)}
-    return FlipGraph(spines, tuple(tuple(map(index.get, flips[s.key()])) for s in spines))
+    labels = {v: frozenset({v}) for v in tree.standard}
+    seed = _masked(tree, kappa(tree, tuple(sorted(tree.standard))))
+    found = {frozenset(m for *_, m in seed): 0}  # nested set -> discovery number
+    queue = [seed]  # the arcs of each spine, by discovery number
+    flips = []  # per discovery number: the spine and the numbers of its flips
+    for arcs in queue:
+        targets = []
+        for k in range(len(arcs)):
+            flipped = _exchange(tree, arcs, k)
+            j = found.setdefault(frozenset(m for *_, m in flipped), len(queue))
+            if j == len(queue):
+                queue.append(flipped)
+            elif queue[j] != flipped:
+                raise InvalidSpine("two spines share one nested set")
+            targets.append(j)
+        flips.append((_spine(tree, labels, arcs), targets))
+    ranked = sorted(range(len(queue)), key=lambda i: [arc[:2] for arc in queue[i]])
+    rank = {i: r for r, i in enumerate(ranked)}
+    return FlipGraph(
+        tuple(flips[i][0] for i in ranked),
+        tuple(tuple(rank[j] for j in flips[i][1]) for i in ranked),
+    )
 
 
 def enumerate_maximal_spines(tree: SignedTree) -> tuple:

@@ -74,9 +74,7 @@ def increasing_flip_digraph(tree: SignedTree, base: Iterable) -> FlipDigraph:
     spines = graph.spines
     arcs = set()
     for i, (spine, targets) in enumerate(zip(spines, graph.neighbors)):
-        for arc, j in zip(spine.arcs, targets):
-            (u,) = arc[0]
-            (v,) = arc[1]
+        for ((u,), (v,)), j in zip(spine.arcs, targets):
             if pos[u] < pos[v]:
                 arcs.add((i, j, (u, v)))
             else:
@@ -107,9 +105,9 @@ def increasing_flip_digraph(tree: SignedTree, base: Iterable) -> FlipDigraph:
                 queue.append(succ)
     if visited != len(spines):
         raise VerificationFailure("flip digraph has a directed cycle")
-    if spines[sources[0]].key() != kappa(tree, base).key():
+    if spines[sources[0]] != kappa(tree, base):
         raise VerificationFailure("source is not the sweep of the base order")
-    if spines[sinks[0]].key() != kappa(tree, tuple(reversed(base))).key():
+    if spines[sinks[0]] != kappa(tree, tuple(reversed(base))):
         raise VerificationFailure("sink is not the sweep of the reversed base")
     return FlipDigraph(spines, arcs, sources[0], sinks[0])
 
@@ -120,12 +118,7 @@ def h_vector(tree: SignedTree, base: Iterable) -> tuple:
     pos = {v: i for i, v in enumerate(base)}
     counts = [0] * tree.nu
     for spine in enumerate_maximal_spines(tree):
-        ordered = sum(
-            1
-            for arc in spine.arcs
-            if pos[next(iter(arc[0]))] < pos[next(iter(arc[1]))]
-        )
-        counts[ordered] += 1
+        counts[sum(pos[u] < pos[v] for (u,), (v,) in spine.arcs)] += 1
     return tuple(counts)
 
 
@@ -160,9 +153,7 @@ def congruence_diagnostics(
     check_bound(tree, max_nu)
     base = _check_order(tree, base)
     vertices = sorted(tree.standard)
-    base_pairs = [
-        (u, v) for i, u in enumerate(base) for v in base[i + 1 :]
-    ]
+    base_pairs = [(u, v) for i, u in enumerate(base) for v in base[i + 1 :]]
     pair_index = {p: i for i, p in enumerate(base_pairs)}
 
     def inv_mask(order: tuple) -> int:
@@ -182,9 +173,7 @@ def congruence_diagnostics(
     interval_failures = []
     fiber_min = {}
     fiber_max = {}
-    for idx, fib in sorted(
-        enumerate(fibers), key=lambda pair: -len(pair[1])
-    ):
+    for idx, fib in sorted(enumerate(fibers), key=lambda pair: -len(pair[1])):
         meet = None
         join = None
         for order in fib:
@@ -209,10 +198,7 @@ def congruence_diagnostics(
     down_failure = None
     up_failure = None
     if len(fiber_min) == len(spines):
-        owner = {}
-        for idx, fib in enumerate(fibers):
-            for order in fib:
-                owner[order] = idx
+        owner = {order: idx for idx, fib in enumerate(fibers) for order in fib}
         for order in all_orders:
             for i in range(len(order) - 1):
                 swapped = list(order)

@@ -310,6 +310,18 @@ class TestExitCodes:
         assert captured.err == f"error: nu = {n} exceeds the bound 10\n"
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["flipgraph", "complex", "singletons"])
+    def test_spine_commands_bound(self, command, tmp_path, capsys):
+        # each builds every maximal spine, so each keeps the polytope's bound
+        path = tmp_path / "path11.json"
+        path.write_text(json.dumps(tree_to_json(path_neg(11))))
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: nu = 11 exceeds the bound 10\n"
+        assert "Traceback" not in captured.err
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 8) | st.floats() | st.text(max_size=3),

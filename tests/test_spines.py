@@ -3,12 +3,15 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from arbora.blocks import is_building_block, open_components
+from arbora import catalog
+from arbora.blocks import held_together, is_building_block, open_components
 from arbora.catalog import NAMED_TREES
 from arbora.complexes import enumerate_nested_sets
 from arbora.errors import (
+    ArboraError,
     ImproperCut,
     InvalidSpine,
+    NotMaximal,
     NotNested,
     SingletonLabel,
     UnknownArc,
@@ -16,6 +19,7 @@ from arbora.errors import (
 )
 from arbora.fans import kappa
 from arbora.spines import (
+    FlipGraph,
     Spine,
     blossom_counts,
     contract_arc,
@@ -34,7 +38,7 @@ from arbora.spines import (
 )
 from arbora.trees import build_tree
 
-from conftest import signed_trees
+from conftest import phantom_trees, signed_trees
 
 
 def path_spine(*vertices):
@@ -91,6 +95,102 @@ def components_validate(tree, spine):
                     return (False, f"two {side} sets {where} share a component")
                 used.add(homes[0])
     return (True, None)
+
+
+def frozenset_flip_arc(tree, spine, arc):
+    """Oracle: the flip on frozenset labels, with `held_together` on side sets.
+
+    The arc u -> v is reversed; the incoming arc of u rooted on v's side of
+    the tree (when present) is re-attached to v, and the outgoing arc of v
+    sinking on u's side (when present) is re-attached to u.
+    """
+    if not spine.is_maximal:
+        raise NotMaximal("flips are defined on maximal spines")
+    tail, head = (frozenset(arc[0]), frozenset(arc[1]))
+    if (tail, head) not in set(spine.arcs):
+        raise UnknownArc(f"no arc {arc!r}")
+    (u,) = tail
+    (v,) = head
+
+    # a positive node has a single incoming arc and it always moves; a
+    # negative node moves the incoming arc rooted on v's side of the tree
+    arc_i = None
+    for cand in spine.incoming(tail):
+        if u in tree.positives or held_together(
+            tree, spine.source_set(cand) | head, tail
+        ):
+            arc_i = cand
+            break
+    # dually: a negative node's unique outgoing arc always moves
+    arc_o = None
+    for cand in spine.outgoing(head):
+        if v in tree.negatives or held_together(
+            tree, spine.sink_set(cand) | tail, head
+        ):
+            arc_o = cand
+            break
+
+    new_arcs = []
+    for a in spine.arcs:
+        if a == (tail, head):
+            new_arcs.append((head, tail))
+        elif arc_i is not None and a == arc_i:
+            new_arcs.append((arc_i[0], head))
+        elif arc_o is not None and a == arc_o:
+            new_arcs.append((tail, arc_o[1]))
+        else:
+            new_arcs.append(a)
+    result = Spine.make(spine.nodes, new_arcs)
+    check = validate_spine(tree, result)
+    if not check:
+        raise InvalidSpine(f"flip produced an invalid spine: {check.reason}")
+    return result
+
+
+def oracle_flip_graph(tree):
+    """Oracle: the breadth-first flip search on `frozenset_flip_arc`."""
+    seed = kappa(tree, tuple(sorted(tree.standard)))
+    found = {seed.key(): seed}
+    flips = {}  # spine key -> the keys of its flips, aligned with its arcs
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for spine in frontier:
+            flips[spine.key()] = targets = []
+            for arc in spine.arcs:
+                neighbor = frozenset_flip_arc(tree, spine, arc)
+                stored = found.setdefault(neighbor.key(), neighbor)
+                if stored is neighbor:
+                    nxt.append(neighbor)
+                assert stored == neighbor
+                targets.append(neighbor.key())
+        frontier = nxt
+    spines = tuple(
+        sorted(found.values(), key=lambda s: [(sorted(t), sorted(h)) for t, h in s.arcs])
+    )
+    index = {s.key(): i for i, s in enumerate(spines)}
+    neighbors = tuple(tuple(index[k] for k in flips[s.key()]) for s in spines)
+    return FlipGraph(spines, neighbors)
+
+
+def assert_flips_agree(tree):
+    """Every flip equals the oracle's and exchanges one block; so does the graph."""
+    graph = flip_graph(tree)
+    for spine in graph.spines:
+        for arc in spine.arcs:
+            flipped = flip_arc(tree, spine, arc)
+            assert flipped == frozenset_flip_arc(tree, spine, arc), (tree, spine, arc)
+            assert len(spine.key() - flipped.key()) == 1
+            assert len(flipped.key() - spine.key()) == 1
+    assert graph == oracle_flip_graph(tree)
+
+
+def fresh_tree(prefix):
+    """A mixed path on ids no other test uses, so no cached flip graph answers."""
+    ids = [f"{prefix}{i}" for i in range(4)]
+    return build_tree(
+        list(zip(ids, "-+--")), [(ids[i], ids[i + 1]) for i in range(3)]
+    )
 
 
 def one_arc_mutations(spine):
@@ -294,6 +394,21 @@ class TestFlips:
             flipped = flip_arc(tripod_neg, spine, arc)
             assert len(spine.key() ^ flipped.key()) == 2
 
+    def test_equals_frozenset_oracle_on_corpus(self):
+        for tree in catalog.corpus(max_nu=5):
+            assert_flips_agree(tree)
+
+    @given(phantom_trees(max_vertices=8).filter(lambda tree: tree.nu <= 5))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_frozenset_oracle_with_phantoms(self, tree):
+        assert_flips_agree(tree)
+
+    def test_vertex_outside_the_tree_is_an_arbora_error(self, tripod_neg):
+        spine = star_into(2, [1, 3, 9])  # 9 is no vertex of the tripod
+        for arc in spine.arcs:
+            with pytest.raises(ArboraError):
+                flip_arc(tripod_neg, spine, arc)
+
     @given(signed_trees(min_nu=2, max_nu=5))
     @settings(max_examples=15, deadline=None)
     def test_unique_alternative_refinement(self, tree):
@@ -352,20 +467,34 @@ class TestFlipGraph:
                     assert index[flipped.key()] == j
                     assert graph.spines[j] == flipped
 
+    def test_validates_each_spine_once(self, monkeypatch):
+        from arbora import spines
+
+        tree = fresh_tree("val")
+        validated = []
+
+        def counted(tree, spine):
+            validated.append(spine)
+            return validate_spine(tree, spine)
+
+        monkeypatch.setattr(spines, "validate_spine", counted)
+        graph = flip_graph(tree)
+        assert len(validated) == len(graph.spines) > 1
+        assert set(validated) == set(graph.spines)
+
     def test_consumers_make_no_flips(self, htree_eq, tmp_path, monkeypatch, capsys):
         from arbora import cli, fans, geometry, spines, weak_order
         from arbora.trees import tree_to_json
 
         enumerate_maximal_spines(htree_eq)
         calls = []
+        exchange = spines._exchange
 
         def counted(*args):
             calls.append(args)
-            return flip_arc(*args)
+            return exchange(*args)
 
-        for module in (spines, geometry, fans, weak_order, cli):
-            if hasattr(module, "flip_arc"):
-                monkeypatch.setattr(module, "flip_arc", counted)
+        monkeypatch.setattr(spines, "_exchange", counted)
         path = tmp_path / "htree.json"
         path.write_text(json.dumps(tree_to_json(htree_eq)))
         assert geometry.verify_realization(htree_eq)
@@ -379,19 +508,36 @@ class TestFlipGraph:
     def test_flip_disagreeing_with_stored_spine_raises(self, monkeypatch):
         from arbora import spines
 
-        # ids no other test uses, so no cached flip graph answers for this tree
-        tree = build_tree(
-            [("p", "-"), ("q", "+"), ("r", "-"), ("s", "-")],
-            [("p", "q"), ("q", "r"), ("r", "s")],
-        )
+        tree = fresh_tree("dis")
+        exchange, seen = spines._exchange, set()
 
-        def scrambled(tree, spine, arc):
-            # same nested set, arcs out of canonical order
-            flipped = flip_arc(tree, spine, arc)
-            return Spine(flipped.nodes, flipped.arcs[::-1])
+        def scrambled(tree, arcs, k):
+            # a nested set met again comes back with the same masks but
+            # its first arc reversed
+            flipped = exchange(tree, arcs, k)
+            key = frozenset(mask for *_, mask in flipped)
+            if key not in seen:
+                seen.add(key)
+                return flipped
+            (tail, head, mask), *rest = flipped
+            return tuple(sorted([(head, tail, mask), *rest]))
 
-        monkeypatch.setattr(spines, "flip_arc", scrambled)
-        with pytest.raises(InvalidSpine):
+        monkeypatch.setattr(spines, "_exchange", scrambled)
+        with pytest.raises(InvalidSpine, match="two spines share one nested set"):
+            flip_graph(tree)
+
+    def test_invalid_flip_under_a_new_nested_set_raises(self, monkeypatch):
+        from arbora import spines
+
+        tree = fresh_tree("inv")
+        exchange = spines._exchange
+
+        def truncated(tree, arcs, k):
+            # one arc short: a nested set no maximal spine has
+            return exchange(tree, arcs, k)[:-1]
+
+        monkeypatch.setattr(spines, "_exchange", truncated)
+        with pytest.raises(InvalidSpine, match="invalid spine"):
             flip_graph(tree)
 
 

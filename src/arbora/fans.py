@@ -29,7 +29,7 @@ from .errors import (
     NotMaximal,
     VerificationFailure,
 )
-from .spines import Spine, contract_arc, flip_graph
+from .spines import Spine, flip_graph
 from .trees import SignedTree, canonical_edge, check_bound, tree_cached
 
 
@@ -53,20 +53,20 @@ def _check_partition(tree: SignedTree, partition: Iterable) -> tuple:
 def kappa_extended(tree: SignedTree, partition: Iterable) -> Spine:
     """Sweep an ordered partition onto the spine whose cone carries it.
 
-    Computed as the sweep of any within-part refinement followed by the
-    contraction of all arcs joining nodes of the same part.
+    Computed as the sweep of any within-part refinement, with every arc
+    that joins two nodes of one part contracted in a single pass: the
+    labels those arcs join are merged, then one spine is built.
     """
     parts = _check_partition(tree, partition)
     level = {v: i for i, p in enumerate(parts) for v in p}
-    refinement = tuple(v for p in parts for v in sorted(p))
-    spine = _sweep(tree, refinement)
-    while True:
-        for tail, head in spine.arcs:
-            if level[next(iter(tail))] == level[next(iter(head))]:
-                spine = contract_arc(spine, (tail, head))
-                break
-        else:
-            return spine
+    spine = _sweep(tree, tuple(v for p in parts for v in sorted(p)))
+    label = {v: frozenset((v,)) for v in level}
+    for (t,), (h,) in spine.arcs:
+        if level[t] == level[h]:
+            merged = label[t] | label[h]
+            label.update(dict.fromkeys(merged, merged))
+    arcs = [(label[t], label[h]) for (t,), (h,) in spine.arcs if level[t] != level[h]]
+    return Spine.make(set(label.values()), arcs)
 
 
 def kappa(tree: SignedTree, order: Iterable) -> Spine:

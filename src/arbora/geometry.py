@@ -5,6 +5,8 @@ inside the parallelepiped spanned by its parallel facets.  Vertices of the
 middle polytope are integer points counting paths in maximal spines; facets
 are the half-spaces of the building blocks.  Everything here is exact:
 integers for coordinates and right-hand sides, rationals for barycenters.
+The parallelepiped functions need every vertex signed, so they refuse a
+phantom tree.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .trees import (
     SignedTree,
     boundary_neighbors,
     check_bound,
+    check_standard,
     signed_isomorphism,
     subset_key,
     tree_cached,
@@ -146,6 +149,7 @@ def parallel_facets(tree: SignedTree) -> tuple:
     """The edge cuts, as complementary block pairs (the only parallel pairs)."""
     from .blocks import edge_blocks
 
+    check_standard(tree, "the bounding parallelepiped")
     pairs = [edge_blocks(tree, edge) for edge in tree.edges]
     return tuple(sorted(pairs, key=lambda p: tuple(sorted(p[0]))))
 
@@ -163,6 +167,7 @@ def para_summands(tree: SignedTree, max_nu: int = 12) -> ParaSummands:
     The weight of an edge is the number of tree paths through it, i.e. the
     product of the sizes of the two components it separates.
     """
+    check_standard(tree, "the bounding parallelepiped")
     check_bound(tree, max_nu)
     nu = tree.nu
     weights = {}
@@ -206,6 +211,7 @@ def common_vertices_para(tree: SignedTree) -> tuple:
     An orientation qualifies when negative vertices have out-degree at most
     one and positive vertices in-degree at most one.
     """
+    check_standard(tree, "the bounding parallelepiped")
     edges = list(tree.edges)
     results = []
     for mask in range(1 << len(edges)):

@@ -3,8 +3,9 @@
 Every subset of the ground set has a tight supporting value z computed from
 its two-level spine; Moebius inversion of z gives the coefficients y of the
 decomposition of the polytope into dilated faces of the standard simplex.
-The closed form for y is supported on negative paths; the Moebius oracle
-stays available as the runtime ground truth.
+The closed form for y is supported on negative paths; the runtime check
+compares it with the Moebius inversion of the same z, and the Moebius oracle
+recomputes z from scratch as the ground truth.
 """
 
 from __future__ import annotations
@@ -15,14 +16,10 @@ from itertools import combinations
 from math import comb
 from typing import Iterable
 
-from .errors import (
-    InvalidPath,
-    InversionMismatch,
-    PreconditionViolated,
-)
+from .errors import InvalidPath, InversionMismatch
 from .fans import kappa_extended
 from .spines import Spine, one_node_spine
-from .trees import SignedTree, check_bound, subset_key
+from .trees import SignedTree, check_bound, check_standard, subset_key
 
 
 def two_level_spine(tree: SignedTree, subset: Iterable) -> Spine:
@@ -161,10 +158,7 @@ def minkowski_coefficients(
     contributes its weight as is.  The closed form holds for trees without
     phantom vertices only; a phantom tree is refused.
     """
-    if any(tree.phantoms):
-        raise PreconditionViolated(
-            "the closed form needs a tree without phantom vertices"
-        )
+    check_standard(tree, "the closed form")
     check_bound(tree, max_nu)
     nu = tree.nu
     vertices = sorted(tree.standard)
@@ -185,13 +179,11 @@ def minkowski_coefficients(
             )
         y[path.members] = int(weight)
 
-    z = {}
-    for subset in y:
-        z[subset] = tight_rhs(tree, subset)
+    z = {subset: tight_rhs(tree, subset) for subset in y}
 
     checked = False
     if check:
-        oracle = dict(moebius_oracle(tree, max_nu=max_nu))
+        oracle = _moebius(z)
         for subset, value in y.items():
             if oracle[subset] != value:
                 raise InversionMismatch(
@@ -218,18 +210,22 @@ def moebius_oracle(tree: SignedTree, max_nu: int = 7) -> tuple:
     """Inclusion-exclusion of the tight right-hand sides: the ground truth y."""
     check_bound(tree, max_nu)
     vertices = sorted(tree.standard)
-    z = {frozenset(): 0}
-    for r in range(1, len(vertices) + 1):
-        for combo in combinations(vertices, r):
-            z[frozenset(combo)] = tight_rhs(tree, combo)
-    y = []
-    for r in range(1, len(vertices) + 1):
-        for combo in combinations(vertices, r):
-            subset = frozenset(combo)
-            value = 0
-            members = sorted(subset)
-            for k in range(len(members) + 1):
-                for sub in combinations(members, k):
-                    value += (-1) ** (len(subset) - k) * z[frozenset(sub)]
-            y.append((subset, value))
-    return tuple(sorted(y, key=lambda kv: subset_key(kv[0])))
+    z = {
+        frozenset(combo): tight_rhs(tree, combo)
+        for r in range(1, len(vertices) + 1)
+        for combo in combinations(vertices, r)
+    }
+    return tuple(sorted(_moebius(z).items(), key=lambda kv: subset_key(kv[0])))
+
+
+def _moebius(z: dict) -> dict:
+    """y(S) = sum over nonempty T <= S of (-1)^|S - T| z(T), with z(empty) = 0."""
+    y = {}
+    for subset in z:
+        members = sorted(subset)
+        y[subset] = sum(
+            (-1) ** (len(members) - k) * z[frozenset(sub)]
+            for k in range(1, len(members) + 1)
+            for sub in combinations(members, k)
+        )
+    return y

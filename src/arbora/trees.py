@@ -5,6 +5,12 @@ sign in {-, +}.  Phantom vertices have no sign and never enter vertex
 subsets, labels or blocks; they only participate in connectivity.  All
 values are immutable, so every operation in the package is a pure function.
 
+One breadth-first walk (`SignedTree._walk`) answers paths and components,
+and one canonical form answers every isomorphism question: the AHU classes
+(Aho, Hopcroft and Ullman) of the tree rooted at its centroids decide
+signed isomorphism and the automorphism part of the signature orbits.
+Neither recurses over the tree.
+
 Caching policy: a value derived from one tree is either a `cached_property`
 of the tree or is memoized by `tree_cached`, which keeps it in a weak
 per-tree memo.  Equal trees share one memo, and it is freed with the tree
@@ -151,26 +157,30 @@ class SignedTree:
 
     # -- paths and components --------------------------------------------
 
+    def _walk(self, start, deleted: Iterable = ()) -> dict:
+        """Breadth-first walk from `start` avoiding `deleted`.
+
+        Maps each reached vertex to its predecessor (None for `start`); the
+        keys are in visiting order.
+        """
+        parent = {start: None}
+        queue = [start]
+        for x in queue:
+            for y in self.adjacency[x]:
+                if y not in parent and y not in deleted:
+                    parent[y] = x
+                    queue.append(y)
+        return parent
+
     def path_between(self, u, v) -> tuple:
         """Vertices of the unique tree path from u to v, inclusive."""
         if u not in self._index or v not in self._index:
             raise UnknownVertex(f"unknown endpoint on path {u!r}-{v!r}")
-        if u == v:
-            return (u,)
-        parent = {u: None}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            if x == v:
-                break
-            for y in self.adjacency[x]:
-                if y not in parent:
-                    parent[y] = x
-                    stack.append(y)
-        path = [v]
-        while path[-1] != u:
+        parent = self._walk(v)
+        path = [u]
+        while path[-1] != v:
             path.append(parent[path[-1]])
-        return tuple(reversed(path))
+        return tuple(path)
 
     def components(self, deleted: Iterable = ()) -> tuple:
         """Vertex sets of the connected components of the tree minus `deleted`.
@@ -181,21 +191,12 @@ class SignedTree:
         deleted = frozenset(deleted)
         seen = set(deleted)
         comps = []
+        # vertices ascend, so each start is the minimum of its component
         for start in self.vertices:
-            if start in seen:
-                continue
-            comp = {start}
-            seen.add(start)
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in self.adjacency[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        stack.append(y)
-            comps.append(frozenset(comp))
-        return tuple(sorted(comps, key=lambda c: sorted(c)[0] if c else None))
+            if start not in seen:
+                comps.append(frozenset(self._walk(start, deleted)))
+                seen |= comps[-1]
+        return tuple(comps)
 
     @cached_property
     def cut_masks(self) -> tuple:
@@ -219,15 +220,7 @@ class SignedTree:
         deleted = frozenset(deleted)
         if v in deleted:
             raise PreconditionViolated(f"{v!r} was deleted")
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in self.adjacency[x]:
-                if y not in comp and y not in deleted:
-                    comp.add(y)
-                    stack.append(y)
-        return frozenset(comp)
+        return frozenset(self._walk(v, deleted))
 
 
 def subset_key(subset: frozenset) -> tuple:
@@ -239,6 +232,12 @@ def check_bound(tree: SignedTree, max_nu: int) -> None:
     """Refuse exponential work on a tree with more than `max_nu` standard vertices."""
     if tree.nu > max_nu:
         raise BoundExceeded(f"nu = {tree.nu} exceeds the bound {max_nu}")
+
+
+def check_standard(tree: SignedTree, what: str) -> None:
+    """Refuse a phantom tree where `what` needs every vertex signed."""
+    if any(tree.phantoms):
+        raise PreconditionViolated(f"{what} needs a tree without phantom vertices")
 
 
 _MEMO = weakref.WeakKeyDictionary()  # tree -> {(function, args): value}
@@ -459,90 +458,88 @@ def transform(tree: SignedTree, op) -> SignedTree:
     raise PreconditionViolated(f"unknown transform {op!r}")
 
 
-def unsigned_automorphisms(tree: SignedTree) -> tuple:
-    """All edge-preserving bijections of the vertex set."""
-    vertices = list(tree.vertices)
-    edges = set(tree.edges)
-    results = []
+def _ahu_classes(tree: SignedTree, labels: Mapping, table: dict) -> list:
+    """AHU classes of the labelled tree rooted at each of its centroids.
 
-    def backtrack(assignment):
-        if len(assignment) == len(vertices):
-            results.append(dict(assignment))
-            return
-        v = vertices[len(assignment)]
-        for w in vertices:
-            if w in assignment.values():
-                continue
-            if tree.degree(v) != tree.degree(w):
-                continue
-            ok = True
-            for u, img in assignment.items():
-                has = (min(u, v), max(u, v)) in edges
-                has_img = (min(img, w), max(img, w)) in edges
-                if has != has_img:
-                    ok = False
-                    break
-            if ok:
-                assignment[v] = w
-                backtrack(assignment)
-                del assignment[v]
-
-    backtrack({})
-    return tuple(results)
+    Each rooted subtree, children first, gets the index in `table` of
+    (its root's label, the sorted classes of its children).  Trees that
+    share the table get equal classes exactly when a label-keeping
+    isomorphism maps one rooted subtree onto the other.  Returns one
+    (centroid, vertex -> class) pair per centroid; each map lists the
+    vertices children first.
+    """
+    start = tree.vertices[0]
+    parent = tree._walk(start)
+    size = dict.fromkeys(parent, 1)
+    heaviest = dict.fromkeys(parent, 0)  # largest child subtree
+    for v in reversed(parent):
+        if v != start:
+            size[parent[v]] += size[v]
+            heaviest[parent[v]] = max(heaviest[parent[v]], size[v])
+    n = len(parent)
+    rooted = []
+    for root in tree.vertices:
+        if max(heaviest[root], n - size[root]) > n // 2:
+            continue
+        walk = tree._walk(root)
+        classes = {}
+        for v in reversed(walk):
+            children = sorted(classes[c] for c in tree.adjacency[v] if c != walk[v])
+            classes[v] = table.setdefault((labels[v], tuple(children)), len(table))
+        rooted.append((root, classes))
+    return rooted
 
 
 def signature_classes(tree: SignedTree) -> tuple:
     """One representative signature per orbit of the complex-preserving moves.
 
     Moves: global sign flip, leaf sign flips, tree automorphisms, and
-    switches of adjacent opposite-sign vertices of degree at most 2.  A
-    signature signs every vertex, so a phantom tree is refused.
+    switches of adjacent opposite-sign vertices of degree at most 2.  An
+    automorphism carries each other move to a move, so an orbit is the set
+    of signatures whose AHU class is reached by the other moves; the search
+    expands one signature per class.  A signature signs every vertex, so a
+    phantom tree is refused.
     """
-    if any(tree.phantoms):
-        raise PreconditionViolated(
-            "signature classes need a tree without phantom vertices"
-        )
-    vertices = list(tree.standard)
+    check_standard(tree, "a signature class")
+    vertices = tree.vertices
     index = {v: i for i, v in enumerate(vertices)}
-    autos = unsigned_automorphisms(tree)
-    leaves = [v for v in vertices if tree.degree(v) == 1]
+    leaves = [index[v] for v in tree.leaves]
     switchable = [
-        (u, v)
+        (index[u], index[v])
         for u, v in tree.edges
         if tree.degree(u) <= 2 and tree.degree(v) <= 2
     ]
+    flip = {"-": "+", "+": "-"}
+    table = {}
 
-    def neighbors(signature):
-        out = set()
-        out.add(tuple("-" if s == "+" else "+" for s in signature))
-        for leaf in leaves:
-            flipped = list(signature)
-            i = index[leaf]
-            flipped[i] = "-" if flipped[i] == "+" else "+"
-            out.add(tuple(flipped))
-        for auto in autos:
-            out.add(tuple(signature[index[auto[v]]] for v in vertices))
-        for u, v in switchable:
-            i, j = index[u], index[v]
+    def canonical(signature) -> int:
+        rooted = _ahu_classes(tree, dict(zip(vertices, signature)), table)
+        return min(classes[root] for root, classes in rooted)
+
+    def moves(signature):
+        yield tuple(flip[s] for s in signature)
+        for i in leaves:
+            yield signature[:i] + (flip[signature[i]],) + signature[i + 1 :]
+        for i, j in switchable:
             if signature[i] != signature[j]:
                 swapped = list(signature)
                 swapped[i], swapped[j] = swapped[j], swapped[i]
-                out.add(tuple(swapped))
-        return out
+                yield tuple(swapped)
 
     seen = set()
     representatives = []
     for bits in sorted(product("-+", repeat=len(vertices))):
-        if bits in seen:
+        key = canonical(bits)
+        if key in seen:
             continue
         representatives.append(bits)
+        seen.add(key)
         frontier = [bits]
-        seen.add(bits)
         while frontier:
-            current = frontier.pop()
-            for nxt in neighbors(current):
-                if nxt not in seen:
-                    seen.add(nxt)
+            for nxt in moves(frontier.pop()):
+                key = canonical(nxt)
+                if key not in seen:
+                    seen.add(key)
                     frontier.append(nxt)
     return tuple(representatives)
 
@@ -551,66 +548,45 @@ PROP18_MODES = ("exact", "anti", "up_to_leaf_signs", "anti_up_to_leaf_signs")
 
 
 def signed_isomorphism(tree_a: SignedTree, tree_b: SignedTree, mode: str = "exact") -> Optional[dict]:
-    """Search for a tree isomorphism matching the requested sign condition.
+    """Find a tree isomorphism matching the requested sign condition.
 
     Modes: "exact" (signs agree), "anti" (signs opposite), and the two
     "*_up_to_leaf_signs" variants that only constrain internal vertices.
     Phantoms must map to phantoms.  Returns a vertex bijection or None.
+    Decided by comparing AHU classes of vertices labelled by the mode.
     """
     if mode not in PROP18_MODES:
         raise PreconditionViolated(f"unknown isomorphism mode {mode!r}")
-    if len(tree_a.vertices) != len(tree_b.vertices):
-        return None
-    if len(tree_a.standard) != len(tree_b.standard):
-        return None
 
-    anti = mode.startswith("anti")
     leaves_free = mode.endswith("up_to_leaf_signs")
 
-    def sign_ok(u, w) -> bool:
-        if tree_a.is_phantom(u) != tree_b.is_phantom(w):
-            return False
-        if tree_a.is_phantom(u):
-            return True
-        if leaves_free and tree_a.is_leaf(u) and tree_b.is_leaf(w):
-            return True
-        sa, sb = tree_a.sign_of(u), tree_b.sign_of(w)
-        return (sa is not sb) if anti else (sa is sb)
+    def labels(tree: SignedTree, flip: bool) -> dict:
+        def label(v, sign, phantom):
+            if phantom:
+                return "phantom"
+            if leaves_free and tree.is_leaf(v):
+                return "leaf"
+            return sign.opposite if flip else sign
 
-    b_vertices = list(tree_b.vertices)
+        specs = zip(tree.vertices, tree.signs, tree.phantoms)
+        return {v: label(v, sign, phantom) for v, sign, phantom in specs}
 
-    def extend(assignment: dict, frontier: list) -> Optional[dict]:
-        if not frontier:
-            if len(assignment) == len(tree_a.vertices):
-                return dict(assignment)
-            # disconnected would have failed build_tree; all vertices reached
-            return None
-        u = frontier[0]
-        placed = assignment[u]
-        todo = [n for n in tree_a.adjacency[u] if n not in assignment]
-        if not todo:
-            return extend(assignment, frontier[1:])
-        n = todo[0]
-        for w in tree_b.adjacency[placed]:
-            if w in assignment.values():
-                continue
-            if tree_a.degree(n) != tree_b.degree(w) or not sign_ok(n, w):
-                continue
-            assignment[n] = w
-            result = extend(assignment, frontier + [n])
-            if result is not None:
-                return result
-            del assignment[n]
+    table = {}
+    (root_a, classes_a), *_ = _ahu_classes(tree_a, labels(tree_a, False), table)
+    rooted_b = _ahu_classes(tree_b, labels(tree_b, mode.startswith("anti")), table)
+    for root_b, classes_b in rooted_b:
+        if classes_b[root_b] == classes_a[root_a]:
+            break
+    else:
         return None
-
-    root = tree_a.vertices[0]
-    for target in b_vertices:
-        if tree_a.degree(root) != tree_b.degree(target) or not sign_ok(root, target):
-            continue
-        result = extend({root: target}, [root])
-        if result is not None:
-            return result
-    return None
+    mapping, matched = {root_a: root_b}, {root_b}
+    for u in reversed(classes_a):  # parents before children
+        kids_a = [c for c in tree_a.adjacency[u] if c not in mapping]
+        kids_b = [c for c in tree_b.adjacency[mapping[u]] if c not in matched]
+        for x, y in zip(sorted(kids_a, key=classes_a.get), sorted(kids_b, key=classes_b.get)):
+            mapping[x] = y
+            matched.add(y)
+    return mapping
 
 
 def phantom_split(tree: SignedTree, block: Iterable) -> tuple:

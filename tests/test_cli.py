@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from arbora.cli import main
 from arbora.catalog import htree_eq, path_neg, tripod_neg
-from arbora.trees import signature_classes, tree_to_json, unsigned_automorphisms
+from arbora.trees import build_tree, signature_classes, tree_to_json
 
 from conftest import phantom_trees
+from test_trees import unsigned_automorphisms
 
 
 TRIPOD_NEG_DOC = {
@@ -213,13 +214,14 @@ class TestExitCodes:
     ):
         from arbora import minkowski
 
-        real = minkowski.moebius_oracle
+        real = minkowski._moebius
 
-        def off_by_one(tree, max_nu=7):
-            (subset, value), *rest = real(tree, max_nu=max_nu)
-            return ((subset, value + 1), *rest)
+        def off_by_one(z):
+            y = real(z)
+            y[min(y, key=len)] += 1
+            return y
 
-        monkeypatch.setattr(minkowski, "moebius_oracle", off_by_one)
+        monkeypatch.setattr(minkowski, "_moebius", off_by_one)
         code, out = run_cli(["minkowski", tripod_pos_file, "--check"], capsys)
         assert code == 2
         assert out == ""
@@ -321,6 +323,58 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: nu = 11 exceeds the bound 10\n"
         assert "Traceback" not in captured.err
+
+    def test_all_orders_bound(self, tmp_path, capsys):
+        path = tmp_path / "path7.json"
+        path.write_text(json.dumps(tree_to_json(path_neg(7))))
+        code = main(["congruence-check", str(path), "--all-orders"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: nu = 7 exceeds the bound 6\n"
+
+    def test_all_orders_reports_every_base(self, tmp_path, capsys):
+        path = tmp_path / "path4.json"
+        path.write_text(json.dumps(tree_to_json(path_neg(4))))
+        code, out = run_cli(["congruence-check", str(path), "--all-orders"], capsys)
+        assert code == 0
+        assert len(json.loads(out)["reports"]) == 24
+
+
+def spider(legs: int, positive_depth: int):
+    """All-negative spider with three vertices per leg, but one positive vertex."""
+    specs, edges = [(0, "-")], []
+    for leg in range(legs):
+        for depth in (1, 2, 3):
+            v = 3 * leg + depth
+            sign = "+" if (leg, depth) == (0, positive_depth) else "-"
+            specs.append((v, sign))
+            edges.append((v - 1 if depth > 1 else 0, v))
+    return build_tree(specs, edges)
+
+
+@pytest.mark.parametrize(
+    "tree_a, tree_b, expected",
+    [
+        (spider(12, 2), spider(12, 1), False),  # factorial for a backtracking search
+        (path_neg(1500), path_neg(1500), True),  # deeper than the recursion limit
+    ],
+    ids=["spiders", "long-path"],
+)
+def test_isometric_is_polynomial(tree_a, tree_b, expected, tmp_path):
+    paths = []
+    for name, tree in (("a", tree_a), ("b", tree_b)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(tree_to_json(tree)))
+    result = subprocess.run(
+        [sys.executable, "-m", "arbora.cli", "isometric", *map(str, paths)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 0
+    assert json.loads(result.stdout) == {"isometric": expected}
+    assert "Traceback" not in result.stderr
 
 
 JSON_VALUES = st.recursive(

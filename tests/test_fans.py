@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -115,7 +115,49 @@ class TestKappa:
         assert_sweeps_agree(tree)
 
 
+def contracting_kappa_extended(tree, partition):
+    """Oracle: contract the same-part arcs one at a time, rebuilding the spine."""
+    parts = tuple(frozenset(p) for p in partition)
+    level = {v: i for i, p in enumerate(parts) for v in p}
+    spine = fans._sweep(tree, tuple(v for p in parts for v in sorted(p)))
+    while True:
+        for tail, head in spine.arcs:
+            if level[next(iter(tail))] == level[next(iter(head))]:
+                spine = contract_arc(spine, (tail, head))
+                break
+        else:
+            return spine
+
+
+def ordered_partitions(vertices):
+    """Every ordered set partition of `vertices`."""
+    vertices = tuple(vertices)
+    for levels in product(range(len(vertices)), repeat=len(vertices)):
+        if set(levels) == set(range(max(levels) + 1)):
+            yield tuple(
+                frozenset(v for v, level in zip(vertices, levels) if level == k)
+                for k in range(max(levels) + 1)
+            )
+
+
 class TestKappaExtended:
+    def test_equals_contraction_oracle_on_corpus(self):
+        for tree in catalog.corpus(4, include_named=False):
+            for partition in ordered_partitions(tree.standard):
+                expected = contracting_kappa_extended(tree, partition)
+                assert kappa_extended(tree, partition) == expected
+
+    @given(phantom_trees(max_vertices=8).filter(lambda tree: tree.nu <= 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_contraction_oracle_with_phantoms(self, tree, data):
+        levels = data.draw(st.lists(st.integers(0, 3), min_size=tree.nu, max_size=tree.nu))
+        used = sorted(set(levels))
+        partition = [
+            frozenset(v for v, level in zip(tree.standard, levels) if level == k)
+            for k in used
+        ]
+        assert kappa_extended(tree, partition) == contracting_kappa_extended(tree, partition)
+
     def test_single_block(self, tripod_neg):
         spine = kappa_extended(tripod_neg, (frozenset({1, 2, 3, 4}),))
         assert spine.nodes == (frozenset({1, 2, 3, 4}),)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from arbora.blocks import enumerate_blocks
 from arbora.catalog import path_neg
-from arbora.errors import NotMaximal
+from arbora.errors import NotMaximal, PreconditionViolated
 from arbora.fans import fiber, kappa
 from arbora.geometry import (
     barycenter,
@@ -236,6 +236,28 @@ class TestPara:
         y = dict(summands.y)
         for subset, value in z.items():
             assert value == sum(v for s, v in y.items() if s <= subset)
+
+
+PHANTOM_PATH = build_tree(
+    [(1, "-"), (2, "-", True), (3, "-"), (4, "-"), (5, "-", True)],
+    [(1, 2), (2, 3), (3, 4), (4, 5)],
+)
+
+
+class TestParallelepipedRefusesPhantoms:
+    # unguarded, these gave an empty block, a phantom y support and spines
+    # that validate_spine rejects
+    def test_parallel_facets(self):
+        with pytest.raises(PreconditionViolated):
+            parallel_facets(PHANTOM_PATH)
+
+    def test_para_summands(self):
+        with pytest.raises(PreconditionViolated):
+            para_summands(PHANTOM_PATH)
+
+    def test_common_vertices_para(self):
+        with pytest.raises(PreconditionViolated):
+            common_vertices_para(PHANTOM_PATH)
 
 
 class TestCommonVertices:

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from arbora.blocks import enumerate_blocks
 from arbora.errors import BoundExceeded, PreconditionViolated
 from arbora.geometry import vertex_point
+from arbora.catalog import corpus
 from arbora.minkowski import (
     NegativePath,
+    _moebius,
     minkowski_coefficients,
     moebius_oracle,
     negative_paths,
@@ -20,7 +22,7 @@ from arbora.minkowski import (
 from arbora.spines import enumerate_maximal_spines, validate_spine
 from arbora.trees import build_tree
 
-from conftest import signed_trees
+from conftest import phantom_trees, signed_trees
 
 TABLE_SUBSETS = [
     frozenset({1}),
@@ -97,6 +99,15 @@ class TestTwoLevelSpines:
                     assert sum(1 for comp in hosts if source <= comp) == 1
 
 
+def assert_tight_rhs_is_vertex_minimum(tree):
+    """The definition of z: the least subset-coordinate sum over all vertices."""
+    points = [vertex_point(tree, s) for s in enumerate_maximal_spines(tree)]
+    for r in range(1, tree.nu + 1):
+        for combo in combinations(sorted(tree.standard), r):
+            expected = min(sum(p[v] for v in combo) for p in points)
+            assert tight_rhs(tree, combo) == expected, (tree, combo)
+
+
 class TestTightRhs:
     def test_table_negative_tripod(self, tripod_neg):
         values = [tight_rhs(tripod_neg, s) for s in TABLE_SUBSETS]
@@ -123,11 +134,16 @@ class TestTightRhs:
     @given(signed_trees(min_nu=2, max_nu=5))
     @settings(max_examples=12, deadline=None)
     def test_tightness_against_vertices(self, tree):
-        points = [vertex_point(tree, s) for s in enumerate_maximal_spines(tree)]
-        for r in range(1, tree.nu + 1):
-            for combo in combinations(sorted(tree.standard), r):
-                expected = min(sum(p[v] for v in combo) for p in points)
-                assert tight_rhs(tree, combo) == expected
+        assert_tight_rhs_is_vertex_minimum(tree)
+
+    def test_tightness_against_vertices_on_corpus(self):
+        for tree in corpus(5):
+            assert_tight_rhs_is_vertex_minimum(tree)
+
+    @given(phantom_trees(max_vertices=8).filter(lambda tree: tree.nu <= 5))
+    @settings(max_examples=60, deadline=None)
+    def test_tightness_against_vertices_with_phantoms(self, tree):
+        assert_tight_rhs_is_vertex_minimum(tree)
 
     @given(signed_trees(min_nu=2, max_nu=5))
     @settings(max_examples=12, deadline=None)
@@ -237,21 +253,13 @@ class TestCoefficients:
         ground = [1, 2, 3, 4, 5]
         z = {
             frozenset(c): comb(len(c) + 1, 2)
-            for r in range(0, 6)
+            for r in range(1, 6)
             for c in combinations(ground, r)
         }
-
-        def invert(subset):
-            members = sorted(subset)
-            return sum(
-                (-1) ** (len(subset) - k) * z[frozenset(sub)]
-                for k in range(len(members) + 1)
-                for sub in combinations(members, k)
-            )
-
-        for r in range(1, 6):
-            for combo in combinations(ground, r):
-                assert invert(frozenset(combo)) == (1 if r <= 2 else 0)
+        y = _moebius(z)
+        assert set(y) == set(z)
+        for subset, value in y.items():
+            assert value == (1 if len(subset) <= 2 else 0)
 
     @given(signed_trees(max_nu=5))
     @settings(max_examples=12, deadline=None)

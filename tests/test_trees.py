@@ -1,8 +1,10 @@
 import gc
 import weakref
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arbora.errors import (
     DuplicateId,
@@ -11,7 +13,9 @@ from arbora.errors import (
     PreconditionViolated,
     RootIsPhantom,
 )
+from arbora.catalog import corpus, path_neg, tree_shapes
 from arbora.trees import (
+    PROP18_MODES,
     FlipAllSigns,
     FlipLeafSign,
     Relabel,
@@ -20,7 +24,9 @@ from arbora.trees import (
     build_tree,
     boundary_graph,
     boundary_neighbors,
+    canonical_edge,
     phantom_split,
+    signature_classes,
     signed_isomorphism,
     transform,
     tree_cached,
@@ -28,7 +34,7 @@ from arbora.trees import (
     tree_to_json,
 )
 
-from conftest import signed_trees
+from conftest import phantom_trees, signed_trees
 
 
 class TestBuildTree:
@@ -112,6 +118,37 @@ class TestPathsComponents:
     def test_component_containing(self, path4_neg):
         assert path4_neg.component_containing({3}, 1) == frozenset({1, 2})
 
+    def test_long_path_needs_no_recursion(self):
+        tree = path_neg(3000)
+        assert tree.path_between(1, 3000) == tuple(range(1, 3001))
+        assert tree.components({1500}) == (
+            frozenset(range(1, 1500)),
+            frozenset(range(1501, 3001)),
+        )
+        assert signed_isomorphism(tree, tree, "exact") == {v: v for v in tree.vertices}
+
+    @given(phantom_trees(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_walks_give_the_path_and_the_components(self, tree, data):
+        u = data.draw(st.sampled_from(tree.vertices))
+        v = data.draw(st.sampled_from(tree.vertices))
+        path = tree.path_between(u, v)
+        assert (path[0], path[-1]) == (u, v)
+        assert len(set(path)) == len(path)
+        assert all(tree.has_edge(x, y) for x, y in zip(path, path[1:]))
+
+        deleted = frozenset(data.draw(st.sets(st.sampled_from(tree.vertices))))
+        comps = tree.components(deleted)
+        assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+        members = sorted(x for c in comps for x in c)
+        assert members == sorted(frozenset(tree.vertices) - deleted)
+        kept_edges = [e for e in tree.edges if not deleted & set(e)]
+        inside = [sum(1 for x, y in kept_edges if x in c and y in c) for c in comps]
+        assert inside == [len(c) - 1 for c in comps]  # each one connected
+        assert sum(inside) == len(kept_edges)  # and no edge joins two of them
+        for c in comps:
+            assert tree.component_containing(deleted, max(c)) == c
+
 
 class TestTransform:
     def test_flip_all(self, tripod_neg):
@@ -179,6 +216,194 @@ class TestIsomorphism:
     @settings(max_examples=40)
     def test_exact_self_isomorphism(self, tree):
         assert signed_isomorphism(tree, tree, "exact") is not None
+
+
+# -- oracles: the backtracking searches that the AHU classes replaced -------
+
+
+def unsigned_automorphisms(tree):
+    """All edge-preserving bijections of the vertex set."""
+    vertices = list(tree.vertices)
+    edges = set(tree.edges)
+    results = []
+
+    def backtrack(assignment):
+        if len(assignment) == len(vertices):
+            results.append(dict(assignment))
+            return
+        v = vertices[len(assignment)]
+        for w in vertices:
+            if w in assignment.values():
+                continue
+            if tree.degree(v) != tree.degree(w):
+                continue
+            ok = True
+            for u, img in assignment.items():
+                has = (min(u, v), max(u, v)) in edges
+                has_img = (min(img, w), max(img, w)) in edges
+                if has != has_img:
+                    ok = False
+                    break
+            if ok:
+                assignment[v] = w
+                backtrack(assignment)
+                del assignment[v]
+
+    backtrack({})
+    return tuple(results)
+
+
+def oracle_signature_classes(tree):
+    """The orbit search that applies every automorphism to every signature."""
+    vertices = list(tree.standard)
+    index = {v: i for i, v in enumerate(vertices)}
+    autos = unsigned_automorphisms(tree)
+    leaves = [v for v in vertices if tree.degree(v) == 1]
+    switchable = [
+        (u, v)
+        for u, v in tree.edges
+        if tree.degree(u) <= 2 and tree.degree(v) <= 2
+    ]
+
+    def neighbors(signature):
+        out = set()
+        out.add(tuple("-" if s == "+" else "+" for s in signature))
+        for leaf in leaves:
+            flipped = list(signature)
+            i = index[leaf]
+            flipped[i] = "-" if flipped[i] == "+" else "+"
+            out.add(tuple(flipped))
+        for auto in autos:
+            out.add(tuple(signature[index[auto[v]]] for v in vertices))
+        for u, v in switchable:
+            i, j = index[u], index[v]
+            if signature[i] != signature[j]:
+                swapped = list(signature)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                out.add(tuple(swapped))
+        return out
+
+    seen = set()
+    representatives = []
+    for bits in sorted(product("-+", repeat=len(vertices))):
+        if bits in seen:
+            continue
+        representatives.append(bits)
+        frontier = [bits]
+        seen.add(bits)
+        while frontier:
+            current = frontier.pop()
+            for nxt in neighbors(current):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return tuple(representatives)
+
+
+def oracle_signed_isomorphism(tree_a, tree_b, mode="exact"):
+    """Backtracking search for an isomorphism with the mode's sign condition."""
+    if len(tree_a.vertices) != len(tree_b.vertices):
+        return None
+    if len(tree_a.standard) != len(tree_b.standard):
+        return None
+
+    anti = mode.startswith("anti")
+    leaves_free = mode.endswith("up_to_leaf_signs")
+
+    def sign_ok(u, w) -> bool:
+        if tree_a.is_phantom(u) != tree_b.is_phantom(w):
+            return False
+        if tree_a.is_phantom(u):
+            return True
+        if leaves_free and tree_a.is_leaf(u) and tree_b.is_leaf(w):
+            return True
+        sa, sb = tree_a.sign_of(u), tree_b.sign_of(w)
+        return (sa is not sb) if anti else (sa is sb)
+
+    b_vertices = list(tree_b.vertices)
+
+    def extend(assignment, frontier):
+        if not frontier:
+            if len(assignment) == len(tree_a.vertices):
+                return dict(assignment)
+            return None
+        u = frontier[0]
+        placed = assignment[u]
+        todo = [n for n in tree_a.adjacency[u] if n not in assignment]
+        if not todo:
+            return extend(assignment, frontier[1:])
+        n = todo[0]
+        for w in tree_b.adjacency[placed]:
+            if w in assignment.values():
+                continue
+            if tree_a.degree(n) != tree_b.degree(w) or not sign_ok(n, w):
+                continue
+            assignment[n] = w
+            result = extend(assignment, frontier + [n])
+            if result is not None:
+                return result
+            del assignment[n]
+        return None
+
+    root = tree_a.vertices[0]
+    for target in b_vertices:
+        if tree_a.degree(root) != tree_b.degree(target) or not sign_ok(root, target):
+            continue
+        result = extend({root: target}, [root])
+        if result is not None:
+            return result
+    return None
+
+
+def assert_agrees_with_oracle(tree_a, tree_b, mode):
+    """Same verdict as the backtracking search, and a mapping that keeps everything."""
+    mapping = signed_isomorphism(tree_a, tree_b, mode)
+    assert (mapping is None) == (oracle_signed_isomorphism(tree_a, tree_b, mode) is None)
+    if mapping is None:
+        return
+    assert sorted(mapping) == list(tree_a.vertices)
+    assert sorted(mapping.values()) == list(tree_b.vertices)
+    images = sorted(canonical_edge(mapping[u], mapping[v]) for u, v in tree_a.edges)
+    assert images == list(tree_b.edges)
+    for v, w in mapping.items():
+        assert tree_a.is_phantom(v) == tree_b.is_phantom(w)
+        if tree_a.is_phantom(v) or (mode.endswith("leaf_signs") and tree_a.is_leaf(v)):
+            continue
+        agree = tree_a.sign_of(v) is tree_b.sign_of(w)
+        assert agree != mode.startswith("anti")
+
+
+class TestCanonicalFormOracles:
+    def test_isomorphism_agrees_on_corpus_pairs(self):
+        by_size = {}
+        for tree in corpus(5, include_named=False):
+            by_size.setdefault(len(tree.vertices), []).append(tree)
+        for trees in by_size.values():
+            for tree_a in trees:
+                for tree_b in trees:
+                    for mode in PROP18_MODES:
+                        assert_agrees_with_oracle(tree_a, tree_b, mode)
+
+    @given(phantom_trees(max_vertices=8), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_isomorphism_agrees_with_phantoms(self, tree, data):
+        other = data.draw(phantom_trees(max_vertices=8))
+        if data.draw(st.booleans()):  # a relabelled copy with some signs flipped
+            image = data.draw(st.permutations(tree.vertices))
+            other = transform(tree, Relabel.of(dict(zip(tree.vertices, image))))
+            if data.draw(st.booleans()):
+                other = transform(other, FlipAllSigns())
+            for leaf in other.leaves:
+                if not other.is_phantom(leaf) and data.draw(st.booleans()):
+                    other = transform(other, FlipLeafSign(leaf))
+        for mode in PROP18_MODES:
+            assert_agrees_with_oracle(tree, other, mode)
+
+    def test_signature_classes_agree_on_every_shape(self):
+        for n in range(1, 8):
+            for edges in tree_shapes(n):
+                tree = build_tree([(i, "-") for i in range(1, n + 1)], edges)
+                assert signature_classes(tree) == oracle_signature_classes(tree), edges
 
 
 class TestPhantomSplit:

@@ -22,6 +22,11 @@ from .trees import SignedTree, build_tree, check_bound, signature_classes, tree_
 # about 10 s (path) to 33 s (star) at nu = 6 on 2 cores, well over 7x that at 7.
 ALL_ORDERS_MAX_NU = 6
 
+# Default bound of `flipgraph`, `complex` and `singletons`, which hold every
+# maximal spine: a 9-vertex star (109 601 spines) peaks at about 1.5 GiB,
+# and a 10-vertex star has nine times as many spines.
+SPINES_MAX_NU = 9
+
 
 def _load_tree(path: str) -> SignedTree:
     with open(path, "r", encoding="utf-8") as handle:
@@ -55,10 +60,9 @@ def cmd_blocks(args) -> int:
 
 def cmd_complex(args) -> int:
     from .complexes import complex_stats, enumerate_nested_sets
-    from .geometry import MAX_NU
 
     tree = _load_tree(args.tree)
-    check_bound(tree, MAX_NU)
+    check_bound(tree, args.max_nu)
     stats = complex_stats(tree)
     facets = enumerate_nested_sets(tree, max_only=True)
     _emit(
@@ -102,11 +106,10 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_flipgraph(args) -> int:
-    from .geometry import MAX_NU
     from .spines import flip_graph, spine_to_json
 
     tree = _load_tree(args.tree)
-    check_bound(tree, MAX_NU)
+    check_bound(tree, args.max_nu)
     graph = flip_graph(tree)
     spines = graph.spines
     edges = {
@@ -154,10 +157,10 @@ def cmd_minkowski(args) -> int:
 
 
 def cmd_singletons(args) -> int:
-    from .geometry import MAX_NU, singleton_count_recursive, singleton_spines
+    from .geometry import singleton_count_recursive, singleton_spines
 
     tree = _load_tree(args.tree)
-    check_bound(tree, MAX_NU)
+    check_bound(tree, args.max_nu)
     pairs = singleton_spines(tree)
     recursive = singleton_count_recursive(tree)
     _emit(
@@ -174,7 +177,7 @@ def cmd_barycenter(args) -> int:
     from .geometry import barycenter
 
     tree = _load_tree(args.tree)
-    point = barycenter(tree)
+    point = barycenter(tree, max_nu=args.max_nu)
     _emit({str(v): f"{q.numerator}/{q.denominator}" for v, q in point.items()})
     return 0
 
@@ -267,18 +270,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("blocks", cmd_blocks, help="list the relevant building blocks")
     p.add_argument("--max-nu", type=int, default=20)
-    add("complex", cmd_complex, help="f-vector and facets of the nested complex")
+    p = add("complex", cmd_complex, help="f-vector and facets of the nested complex")
+    p.add_argument("--max-nu", type=int, default=SPINES_MAX_NU)
     p = add("polytope", cmd_polytope, help="vertex/facet description with certificate")
     p.add_argument("--max-nu", type=int, default=10)
     p = add("kappa", cmd_kappa, help="sweep a linear order onto a spine")
     p.add_argument("--order", required=True, help="comma-separated vertex ids")
     p = add("flipgraph", cmd_flipgraph, help="the flip graph of maximal spines")
     p.add_argument("--dot", action="store_true")
+    p.add_argument("--max-nu", type=int, default=SPINES_MAX_NU)
     p = add("minkowski", cmd_minkowski, help="decomposition coefficients")
     p.add_argument("--check", action="store_true", help="force the oracle comparison")
     p.add_argument("--max-nu", type=int, default=7)
-    add("singletons", cmd_singletons, help="directed-path spines and their orders")
-    add("barycenter", cmd_barycenter, help="exact vertex barycenter")
+    p = add("singletons", cmd_singletons, help="directed-path spines and their orders")
+    p.add_argument("--max-nu", type=int, default=SPINES_MAX_NU)
+    p = add("barycenter", cmd_barycenter, help="exact vertex barycenter")
+    p.add_argument("--max-nu", type=int, default=10)
     p = add("isometric", cmd_isometric, help="isometry test for two trees")
     p.add_argument("other", help="second tree file (JSON)")
     p = add("congruence-check", cmd_congruence, help="fiber diagnostics in the weak order")

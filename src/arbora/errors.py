@@ -2,7 +2,11 @@
 
 Every operation raises one of these instead of a bare ValueError so that
 callers (and the CLI) can map failures to exit codes deterministically.
+A certificate that checks many things reports every failure kind with its
+count and first witness (`failure_summary`).
 """
+
+from collections import Counter
 
 
 class ArboraError(Exception):
@@ -111,3 +115,10 @@ class InvalidPath(ArboraError):
 
 class InversionMismatch(VerificationFailure):
     pass
+
+
+def failure_summary(failures: list) -> tuple:
+    """(kind, count, first witness) per kind of (kind, witness) failures, by kind."""
+    counts = Counter(kind for kind, _ in failures)
+    first = dict(reversed(failures))  # the first witness of each kind
+    return tuple((kind, counts[kind], first[kind]) for kind in sorted(counts))

@@ -2,11 +2,14 @@
 
 kappa maps a linear order on the standard vertices to the unique maximal
 spine of which it is a linear extension; kappa_extended does the same for
-ordered partitions.  Both rest on a bottom-up sweep that asks one
-separation rule, `blocks.held_together`: when the sweep reaches v, with the
-unswept negatives and the swept positives deleted, v receives an arc from
-each earlier vertex u that is held together with v but not with the tail
-of an arc that v already received, walking back from the latest vertex.
+ordered partitions.  Both rest on a bottom-up sweep that asks one pair
+question: when the sweep reaches v, with the unswept negatives and the
+swept positives deleted, v receives an arc from each earlier vertex u that
+is held together with v but not with the tail of an arc that v already
+received, walking back from the latest vertex.  Two vertices are held
+together when no deleted vertex lies strictly inside their tree path, that
+is, when their `SignedTree.path_masks` entry misses the deleted mask (the
+pair case of `blocks.held_together`); `adjacent_congruent` asks the same.
 A positive vertex receives one arc, a negative one at most one per tree
 neighbour.  `fan_cover_check` certifies that the spine cones tile the braid
 fan in integers only: each cone is simplicial when one fraction-free
@@ -15,21 +18,21 @@ fan in integers only: each cone is simplicial when one fraction-free
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 from typing import Iterable
 
-from .blocks import held_together
+from .blocks import _mask
 from .errors import (
     InvalidOrder,
     InvalidPartition,
     NotAdjacent,
     NotMaximal,
     VerificationFailure,
+    failure_summary,
 )
-from .spines import Spine, flip_graph
+from .spines import Spine, _maximal_spine, flip_graph
 from .trees import SignedTree, canonical_edge, check_bound, tree_cached
 
 
@@ -59,50 +62,61 @@ def kappa_extended(tree: SignedTree, partition: Iterable) -> Spine:
     """
     parts = _check_partition(tree, partition)
     level = {v: i for i, p in enumerate(parts) for v in p}
-    spine = _sweep(tree, tuple(v for p in parts for v in sorted(p)))
+    pairs = _sweep(tree, tuple(v for p in parts for v in sorted(p)))
     label = {v: frozenset((v,)) for v in level}
-    for (t,), (h,) in spine.arcs:
+    for t, h in pairs:
         if level[t] == level[h]:
             merged = label[t] | label[h]
             label.update(dict.fromkeys(merged, merged))
-    arcs = [(label[t], label[h]) for (t,), (h,) in spine.arcs if level[t] != level[h]]
+    arcs = [(label[t], label[h]) for t, h in pairs if level[t] != level[h]]
     return Spine.make(set(label.values()), arcs)
 
 
 def kappa(tree: SignedTree, order: Iterable) -> Spine:
     """The unique maximal spine of which `order` is a linear extension."""
-    return _sweep(tree, _check_order(tree, order))
+    return _maximal_spine(tree, _sweep(tree, _check_order(tree, order)))
 
 
-def _sweep(tree: SignedTree, order: tuple) -> Spine:
-    """Bottom-up sweep of a linear order into a maximal spine.
+def _sweep(tree: SignedTree, order: tuple) -> list:
+    """Bottom-up sweep of a linear order into the arcs of a maximal spine.
 
     When the sweep reaches v, the deleted set is the unswept negatives and
     the swept positives.  Each open component at v (a component of the tree
     minus the deleted set that holds or bounds v, or a deleted edge at v)
     sends v one arc, from the vertex swept last in it or on its boundary,
     if any.  Walking back over the swept vertices, that is the first u held
-    together with v and with no tail already found.  A positive v lies in a
-    single component; a negative v bounds one per tree neighbour.
+    together with v and with no tail already found: u and t are held
+    together when their path mask misses the deleted mask.  A positive v
+    lies in a single component; a negative v bounds one per tree neighbour.
+    The arcs come back as sorted (tail, head) pairs.
     """
-    deleted = set(tree.negatives)
-    arcs = []
-    for k, v in enumerate(order):
-        wanted = 1 if v in tree.positives else tree.degree(v)
+    index, standard, paths = tree.standard_index, tree.standard, tree.path_masks
+    deleted = _mask(tree, tree.negatives)
+    swept, arcs = [], []
+    for v in order:
+        i = index[v]
+        positive = v in tree.positives
+        wanted = 1 if positive else len(tree.adjacency[v])
         tails = []
-        for u in reversed(order[:k]):
-            if len(tails) == wanted:
-                break
-            if held_together(tree, (u, v), deleted) and not any(
-                held_together(tree, (u, t), deleted) for t in tails
-            ):
-                tails.append(u)
-        arcs.extend((frozenset({u}), frozenset({v})) for u in tails)
-        if v in tree.positives:
-            deleted.add(v)
+        for j in reversed(swept):
+            row = paths[j]
+            if row[i] & deleted:
+                continue
+            for t in tails:
+                if not row[t] & deleted:
+                    break
+            else:
+                tails.append(j)
+                arcs.append((j, i))
+                if len(tails) == wanted:
+                    break
+        swept.append(i)
+        if positive:
+            deleted |= 1 << i
         else:
-            deleted.discard(v)
-    return Spine.make([frozenset({v}) for v in order], arcs)
+            deleted &= ~(1 << i)
+    # standard indices ascend with the vertices, so the pairs sort alike
+    return [(standard[t], standard[h]) for t, h in sorted(arcs)]
 
 
 @tree_cached
@@ -153,7 +167,8 @@ def adjacent_congruent(tree: SignedTree, order_a: Iterable, order_b: Iterable) -
     u, v = a[i], a[i + 1]
     swept_after, swept_before = frozenset(a[i + 2 :]), frozenset(a[:i])
     deleted = (tree.negatives & swept_after) | (tree.positives & swept_before)
-    return not held_together(tree, (u, v), deleted)
+    index = tree.standard_index
+    return bool(tree.path_masks[index[u]][index[v]] & _mask(tree, deleted))
 
 
 def orientation_of_order(tree: SignedTree, order: Iterable) -> dict:
@@ -197,17 +212,19 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
     # (a) fibers partition the orders; each order is compared with its owner
     fibers = [fiber(tree, s) for s in spines]
     position = {s: i for i, s in enumerate(spines)}
-    owner = {}
-    for s, fib in zip(spines, fibers):
+    owner = {}  # order -> the position of the spine whose fiber holds it
+    for i, fib in enumerate(fibers):
         for order in fib:
             if order in owner:
                 failures.append(("duplicate-order", order))
-            owner[order] = s
+            owner[order] = i
     order_count = sum(map(len, fibers))
+    pairs = [[(t, h) for (t,), (h,) in s.arcs] for s in spines]
     for order in permutations(sorted(tree.standard)):
-        image = kappa(tree, order)
-        if image == owner.get(order):
+        image = _sweep(tree, order)
+        if order in owner and image == pairs[owner[order]]:
             continue
+        image = _maximal_spine(tree, image)
         if image not in position:
             failures.append(("sweep-misses-facet", order))
         elif order not in fibers[position[image]]:
@@ -241,10 +258,10 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
             failures.append(("rays-dependent", sorted(map(sorted, s.key()))))
 
     if failures:
-        counts = Counter(kind for kind, _ in failures)
-        first = dict(reversed(failures))  # the first witness of each kind
-        kinds = sorted(counts)
-        summary = "; ".join(f"{k} x{counts[k]}, first {first[k]}" for k in kinds)
+        summary = "; ".join(
+            f"{kind} x{count}, first {witness}"
+            for kind, count, witness in failure_summary(failures)
+        )
         raise VerificationFailure(f"fan check failed: {summary}")
     return FanCertificate(True, len(spines), order_count)
 

@@ -17,7 +17,7 @@ from math import comb
 from typing import Iterable, Optional
 
 from .blocks import enumerate_blocks, held_together
-from .errors import NotMaximal, RecursionMismatch
+from .errors import NotMaximal, RecursionMismatch, failure_summary
 from .spines import Spine, enumerate_maximal_spines, flip_graph
 from .trees import (
     Sign,
@@ -74,7 +74,8 @@ class HalfSpace:
 @dataclass(frozen=True)
 class RealizationCertificate:
     passed: bool
-    witness: Optional[tuple] = None
+    witness: Optional[tuple] = None  # the first failure, (kind, witness)
+    failures: tuple = ()  # (kind, count, first witness) per failure kind, by kind
 
     def __bool__(self) -> bool:
         return self.passed
@@ -110,7 +111,9 @@ def verify_realization(tree: SignedTree) -> RealizationCertificate:
     For every maximal spine: the coordinate sum is the full binomial, the
     blocks of its nested set meet their half-spaces with equality, all
     other relevant blocks strictly, and each flip moves the vertex by a
-    positive integer multiple of e_u - e_v.
+    positive integer multiple of e_u - e_v.  A failed certificate keeps its
+    first failure as `witness` and every failure kind, sorted by name, with
+    its count and first witness as `failures`.
     """
     return _certify(
         tree, [vertex_point(tree, spine) for spine in flip_graph(tree).spines]
@@ -122,26 +125,29 @@ def _certify(tree: SignedTree, points: list) -> RealizationCertificate:
     nu = tree.nu
     blocks = enumerate_blocks(tree)
     graph = flip_graph(tree)
+    failures = []
     for spine, point, targets in zip(graph.spines, points, graph.neighbors):
         if sum(point.values()) != comb(nu + 1, 2):
-            return RealizationCertificate(False, ("total", spine.key()))
+            failures.append(("total", spine.key()))
         nested = spine.key()
         for block in blocks:
             value = sum(point[v] for v in block)
             bound = comb(len(block) + 1, 2)
             if block in nested:
                 if value != bound:
-                    return RealizationCertificate(False, ("tight", sorted(block)))
+                    failures.append(("tight", sorted(block)))
             elif value <= bound:
-                return RealizationCertificate(False, ("strict", sorted(block)))
+                failures.append(("strict", sorted(block)))
         for ((u,), (v,)), j in zip(spine.arcs, targets):
             other = points[j]
             delta = {w: other[w] - point[w] for w in point}
             lam = delta[u]
             if lam <= 0 or delta[v] != -lam:
-                return RealizationCertificate(False, ("flip", (u, v)))
-            if any(delta[w] != 0 for w in delta if w not in (u, v)):
-                return RealizationCertificate(False, ("flip-support", (u, v)))
+                failures.append(("flip", (u, v)))
+            elif any(delta[w] != 0 for w in delta if w not in (u, v)):
+                failures.append(("flip-support", (u, v)))
+    if failures:
+        return RealizationCertificate(False, failures[0], failure_summary(failures))
     return RealizationCertificate(True)
 
 
@@ -303,9 +309,9 @@ def _phantomize_vertex(tree: SignedTree, vertex) -> SignedTree:
     )
 
 
-def barycenter(tree: SignedTree) -> dict:
+def barycenter(tree: SignedTree, max_nu: int = MAX_NU) -> dict:
     """Exact vertex barycenter of the realization, under the polytope's bound."""
-    check_bound(tree, MAX_NU)
+    check_bound(tree, max_nu)
     spines = enumerate_maximal_spines(tree)
     totals = {v: Fraction(0) for v in tree.standard}
     for spine in spines:

@@ -13,9 +13,11 @@ singletons) are the facets of the nested complex; contraction and
 splitting move between ranks; flips move between adjacent facets.  A flip
 is one rule, `_exchange`, on a maximal spine written as (tail, head,
 source mask) arcs: it exchanges one block of the nested set.  `flip_graph`
-is the one place where the flips of a tree are enumerated, and it validates
-each spine once; everything that walks the flip graph reads its neighbour
-table.
+is the one place where the flips of a tree are enumerated, and it checks
+each spine once, on those arcs: the masks are recomputed from the arcs by
+one rooted walk and the separation rule is read off the vertex cuts
+(`_check_masks`, with `validate_spine` as its oracle).  Everything that
+walks the flip graph reads its neighbour table.
 """
 
 from __future__ import annotations
@@ -86,23 +88,34 @@ class Spine:
 
     @cached_property
     def _side_sets(self) -> Mapping:
-        """For each arc, the set of vertices on its tail side."""
-        sides = {}
-        for arc in self.arcs:
-            tail, head = arc
-            # collect node labels reachable from the tail without the arc
-            seen = {tail}
-            stack = [tail]
-            while stack:
-                label = stack.pop()
-                for other in self._incident[label]:
-                    if other == arc:
-                        continue
-                    for end in other:
-                        if end not in seen:
-                            seen.add(end)
-                            stack.append(end)
-            sides[arc] = frozenset(v for label in seen for v in label)
+        """For each arc, the set of vertices on its tail side.
+
+        One breadth-first walk per component roots the arcs; then, children
+        first, each node gathers the vertices below it.  An arc's tail side
+        is what lies below its lower end when that end is its tail, and the
+        rest of the component when it is its head.  Arcs that close a cycle
+        have no sides: they raise `InvalidSpine`.
+        """
+        sides, reached = {}, set()
+        for root in self.nodes:
+            if root in reached:
+                continue
+            reached.add(root)
+            walk = [(root, None, None)]  # (node, arc to its parent, parent)
+            for node, up, _ in walk:
+                for arc in self._incident[node]:
+                    if arc != up:
+                        end = arc[0] if arc[1] == node else arc[1]
+                        if end in reached:
+                            raise InvalidSpine("spine arcs close a cycle")
+                        reached.add(end)
+                        walk.append((end, arc, node))
+            below = {node: set(node) for node, _, _ in walk}
+            for node, _, parent in reversed(walk[1:]):
+                below[parent] |= below[node]
+            for node, arc, _ in walk[1:]:
+                side = below[node] if arc[0] == node else below[root] - below[node]
+                sides[arc] = frozenset(side)
         return sides
 
     def source_set(self, arc: tuple) -> frozenset:
@@ -276,10 +289,45 @@ def split_node(tree: SignedTree, spine: Spine, node: Iterable, vertex) -> Spine:
     return result
 
 
-def _masked(tree: SignedTree, spine: Spine) -> tuple:
-    """A maximal spine's arcs as (tail, head, source mask), in the spine's order."""
-    source = spine.source_set
-    return tuple((*t, *h, _mask(tree, source((t, h)))) for t, h in spine.arcs)
+def _source_masks(tree: SignedTree, arcs) -> Optional[list]:
+    """The source masks of (tail, head, ...) arcs on the standard vertices.
+
+    One breadth-first walk from the first standard vertex roots the arcs;
+    then, children first, each vertex gathers the bits below it.  An arc's
+    source mask is what lies below its lower end when that end is its tail,
+    and the complement when it is its head.  None when the walk misses a
+    standard vertex, so for nu - 1 arcs None exactly when they do not form
+    a tree.
+    """
+    index, standard = tree.standard_index, tree.standard
+    incident = {v: [] for v in standard}
+    for k, arc in enumerate(arcs):
+        incident[arc[0]].append((k, arc[1]))
+        incident[arc[1]].append((k, arc[0]))
+    walk = [(standard[0], None, None)]  # (vertex, arc to its parent, parent)
+    reached = {standard[0]}
+    for v, _, _ in walk:
+        for k, w in incident[v]:
+            if w not in reached:
+                reached.add(w)
+                walk.append((w, k, v))
+    if len(walk) != len(standard):
+        return None
+    full = (1 << len(standard)) - 1
+    below = {v: 1 << index[v] for v in standard}
+    masks = [0] * len(arcs)
+    for v, k, parent in reversed(walk[1:]):
+        below[parent] |= below[v]
+        masks[k] = below[v] if arcs[k][0] == v else full ^ below[v]
+    return masks
+
+
+def _masked(tree: SignedTree, pairs: list) -> tuple:
+    """Sorted (tail, head) pairs of a maximal spine as (tail, head, source mask) arcs."""
+    masks = _source_masks(tree, pairs)
+    if masks is None:
+        raise InvalidSpine("arcs do not connect the standard vertices")
+    return tuple((t, h, m) for (t, h), m in zip(pairs, masks))
 
 
 def _exchange(tree: SignedTree, arcs: tuple, k: int) -> tuple:
@@ -309,19 +357,68 @@ def _exchange(tree: SignedTree, arcs: tuple, k: int) -> tuple:
     return tuple(sorted(exchanged))
 
 
-def _spine(tree: SignedTree, labels: Mapping, arcs: tuple) -> Spine:
-    """The maximal spine of sorted source-mask arcs, checked against them.
+def _check_masks(tree: SignedTree, arcs: tuple) -> SpineCheck:
+    """Validate a maximal spine given as sorted (tail, head, source mask) arcs.
 
-    It must be a valid spine whose source sets are the masks.  `labels`
-    maps each vertex to its node label, so spines share their labels.
+    The arcs must form a tree on the standard vertices, and the source masks
+    recomputed from that tree alone must be the given ones.  The separation
+    rule is then read off the vertex cuts: at a node w, the side masks of
+    its incoming arcs (source masks) lie in distinct components of the tree
+    minus w when w is negative, and w has at most one incoming arc when it
+    is positive; dually for the sink masks of its outgoing arcs.  This
+    accepts exactly the arcs of which `validate_spine` accepts the spine and
+    whose masks are its source sets.
     """
-    spine = Spine.make(labels.values(), ((labels[u], labels[v]) for u, v, _ in arcs))
-    check = validate_spine(tree, spine)
+    index = tree.standard_index
+    if len(arcs) != tree.nu - 1:
+        return SpineCheck(False, "arc count is not node count minus one")
+    if any(t not in index or h not in index for t, h, _ in arcs):
+        return SpineCheck(False, "arc endpoint is not a node")
+    masks = _source_masks(tree, arcs)
+    if masks is None:
+        return SpineCheck(False, "arcs do not connect the nodes")
+    if masks != [m for *_, m in arcs]:
+        return SpineCheck(False, "source masks are not the spine's")
+    full, cuts, taken = (1 << tree.nu) - 1, tree.cut_masks, set()
+    for t, h, m in arcs:
+        for w, mask, part, side in (
+            (h, m, tree.negatives, "incoming"),
+            (t, full ^ m, tree.positives, "outgoing"),
+        ):
+            component = 0  # with w kept, the whole tree is one component
+            if w in part:
+                component = next((c for c in cuts[index[w]] if not mask & ~c), None)
+                if component is None:
+                    reason = f"{side} set at node {[w]} spans several components"
+                    return SpineCheck(False, reason)
+            if (w, side, component) in taken:
+                reason = f"two {side} sets at node {[w]} share a component"
+                return SpineCheck(False, reason)
+            taken.add((w, side, component))
+    return SpineCheck(True)
+
+
+def _maximal_spine(tree: SignedTree, arcs, labels: Optional[Mapping] = None) -> Spine:
+    """The maximal spine of sorted (tail, head, ...) arcs, in canonical order.
+
+    The arcs are sorted, so no sort of `Spine.make` is needed.  `labels`
+    maps each standard vertex to its singleton label, so that spines can
+    share their labels; by default they are made afresh.
+    """
+    if labels is None:
+        labels = {v: frozenset((v,)) for v in tree.standard}
+    return Spine(
+        tuple(labels[v] for v in tree.standard),
+        tuple((labels[arc[0]], labels[arc[1]]) for arc in arcs),
+    )
+
+
+def _spine(tree: SignedTree, arcs: tuple, labels: Optional[Mapping] = None) -> Spine:
+    """The maximal spine of sorted source-mask arcs, checked by `_check_masks`."""
+    check = _check_masks(tree, arcs)
     if not check:
         raise InvalidSpine(f"flip produced an invalid spine: {check.reason}")
-    if _masked(tree, spine) != arcs:
-        raise InvalidSpine("flip produced source masks that are not the spine's")
-    return spine
+    return _maximal_spine(tree, arcs, labels)
 
 
 def flip_arc(tree: SignedTree, spine: Spine, arc: tuple) -> Spine:
@@ -337,8 +434,9 @@ def flip_arc(tree: SignedTree, spine: Spine, arc: tuple) -> Spine:
         raise UnknownArc(f"no arc {arc!r}")
     if not spine.vertices <= tree.standard_set:
         raise InvalidSpine("spine labels are not standard vertices of the tree")
-    flipped = _exchange(tree, _masked(tree, spine), spine.arcs.index((tail, head)))
-    return _spine(tree, spine.node_of, flipped)
+    pairs = [(t, h) for (t,), (h,) in spine.arcs]
+    flipped = _exchange(tree, _masked(tree, pairs), spine.arcs.index((tail, head)))
+    return _spine(tree, flipped)
 
 
 @dataclass(frozen=True)
@@ -357,13 +455,14 @@ def flip_graph(tree: SignedTree) -> FlipGraph:
     connected, so the search is exhaustive and output-linear.  The search
     runs on source-mask arcs: every flip is made exactly once, by
     `_exchange`, and keyed by its nested set (the set of its source masks).
-    Each new spine is validated once; a flip landing on a nested set
-    already found must reproduce the stored arcs.
+    Each new spine is checked once on its mask arcs (`_check_masks`); a
+    flip landing on a nested set already found must reproduce the stored
+    arcs.
     """
-    from .fans import kappa
+    from .fans import _sweep
 
     labels = {v: frozenset({v}) for v in tree.standard}
-    seed = _masked(tree, kappa(tree, tuple(sorted(tree.standard))))
+    seed = _masked(tree, _sweep(tree, tree.standard))
     found = {frozenset(m for *_, m in seed): 0}  # nested set -> discovery number
     queue = [seed]  # the arcs of each spine, by discovery number
     flips = []  # per discovery number: the spine and the numbers of its flips
@@ -377,7 +476,7 @@ def flip_graph(tree: SignedTree) -> FlipGraph:
             elif queue[j] != flipped:
                 raise InvalidSpine("two spines share one nested set")
             targets.append(j)
-        flips.append((_spine(tree, labels, arcs), targets))
+        flips.append((_spine(tree, arcs, labels), targets))
     ranked = sorted(range(len(queue)), key=lambda i: [arc[:2] for arc in queue[i]])
     rank = {i: r for r, i in enumerate(ranked)}
     return FlipGraph(

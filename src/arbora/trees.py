@@ -6,7 +6,10 @@ subsets, labels or blocks; they only participate in connectivity.  All
 values are immutable, so every operation in the package is a pure function.
 
 One breadth-first walk (`SignedTree._walk`) answers paths and components,
-and one canonical form answers every isomorphism question: the AHU classes
+and gives the per-tree bit masks of the vertex cuts (`cut_masks`) and of
+the paths between standard vertices (`path_masks`) that the separation
+questions of blocks, spines and sweeps read.  One canonical form answers
+every isomorphism question: the AHU classes
 (Aho, Hopcroft and Ullman) of the tree rooted at its centroids decide
 signed isomorphism and the automorphism part of the signature orbits.
 Neither recurses over the tree.
@@ -215,6 +218,31 @@ class SignedTree:
             )
             cuts.append(tuple(mask for mask in masks if mask))
         return tuple(cuts)
+
+    @cached_property
+    def path_masks(self) -> tuple:
+        """The tree paths between standard vertices as bit masks.
+
+        Entry [i][j] holds the standard vertices strictly inside the path
+        between standard vertices i and j (bits and indices as in
+        `standard_index`); phantoms carry no bit.  So u and v are held
+        together without a deleted set exactly when their entry misses it.
+        """
+        index = self.standard_index
+        rows = []
+        for start in self.standard:
+            row = [0] * len(index)
+            through = {start: 0}  # vertex -> bits of its path from start, start excluded
+            for x, p in self._walk(start).items():
+                if p is None:
+                    continue
+                if x in index:
+                    row[index[x]] = through[p]
+                    through[x] = through[p] | 1 << index[x]
+                else:
+                    through[x] = through[p]
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def component_containing(self, deleted: Iterable, v) -> frozenset:
         deleted = frozenset(deleted)

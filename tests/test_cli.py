@@ -314,15 +314,29 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["flipgraph", "complex", "singletons"])
     def test_spine_commands_bound(self, command, tmp_path, capsys):
-        # each builds every maximal spine, so each keeps the polytope's bound
+        # each holds every maximal spine, so each defaults to nu <= 9
         path = tmp_path / "path11.json"
         path.write_text(json.dumps(tree_to_json(path_neg(11))))
         code = main([command, str(path)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == "error: nu = 11 exceeds the bound 10\n"
+        assert captured.err == "error: nu = 11 exceeds the bound 9\n"
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "command", ["flipgraph", "complex", "singletons", "barycenter"]
+    )
+    def test_spine_commands_take_max_nu(self, command, tmp_path, capsys):
+        path = tmp_path / "path4.json"
+        path.write_text(json.dumps(tree_to_json(path_neg(4))))
+        code = main([command, str(path), "--max-nu", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: nu = 4 exceeds the bound 3\n"
+        assert "Traceback" not in captured.err
+        assert main([command, str(path), "--max-nu", "4"]) == 0
 
     def test_all_orders_bound(self, tmp_path, capsys):
         path = tmp_path / "path7.json"

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arbora import catalog, fans
-from arbora.blocks import open_components
+from arbora import blocks, catalog, fans
+from arbora.blocks import held_together, open_components
 from arbora.errors import InvalidOrder, NotAdjacent, VerificationFailure
 from arbora.fans import (
     _determinant,
@@ -67,9 +67,42 @@ def piece_sweep(tree, order):
     return Spine.make([frozenset({v}) for v in order], arcs)
 
 
+def held_together_sweep(tree, order):
+    """Oracle: the sweep asking `blocks.held_together` of each pair, on frozensets."""
+    deleted = set(tree.negatives)
+    arcs = []
+    for k, v in enumerate(order):
+        wanted = 1 if v in tree.positives else tree.degree(v)
+        tails = []
+        for u in reversed(order[:k]):
+            if len(tails) == wanted:
+                break
+            if held_together(tree, (u, v), deleted) and not any(
+                held_together(tree, (u, t), deleted) for t in tails
+            ):
+                tails.append(u)
+        arcs.extend((frozenset({u}), frozenset({v})) for u in tails)
+        if v in tree.positives:
+            deleted.add(v)
+        else:
+            deleted.discard(v)
+    return Spine.make([frozenset({v}) for v in order], arcs)
+
+
 def assert_sweeps_agree(tree):
     for order in permutations(sorted(tree.standard)):
         assert kappa(tree, order) == piece_sweep(tree, order), order
+
+
+def assert_mask_sweep_agrees(tree):
+    """The path-mask sweep gives the held-together sweep's spine, in canonical order."""
+    for order in permutations(sorted(tree.standard)):
+        expected = held_together_sweep(tree, order)
+        pairs = fans._sweep(tree, order)
+        assert pairs == [(t, h) for (t,), (h,) in expected.arcs], order
+        spine = kappa(tree, order)
+        assert spine == expected, order
+        assert spine.nodes == tuple(frozenset({v}) for v in tree.standard)
 
 
 class TestKappa:
@@ -114,12 +147,31 @@ class TestKappa:
     def test_equals_piece_sweep_with_phantoms(self, tree):
         assert_sweeps_agree(tree)
 
+    def test_equals_held_together_sweep_on_corpus_and_named_trees(self):
+        for tree in catalog.corpus(max_nu=5):
+            assert_mask_sweep_agrees(tree)
+
+    @given(phantom_trees(max_vertices=8).filter(lambda tree: tree.nu <= 6))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_held_together_sweep_with_phantoms(self, tree):
+        assert_mask_sweep_agrees(tree)
+
+    def test_sweep_makes_no_held_together_call(self, htree_eq, monkeypatch):
+        def refused(*args):
+            raise AssertionError("held_together called")
+
+        monkeypatch.setattr(blocks, "held_together", refused)
+        assert not hasattr(fans, "held_together")
+        for order in permutations(sorted(htree_eq.standard)):
+            kappa(htree_eq, order)
+        assert fan_cover_check(htree_eq).passed
+
 
 def contracting_kappa_extended(tree, partition):
     """Oracle: contract the same-part arcs one at a time, rebuilding the spine."""
     parts = tuple(frozenset(p) for p in partition)
     level = {v: i for i, p in enumerate(parts) for v in p}
-    spine = fans._sweep(tree, tuple(v for p in parts for v in sorted(p)))
+    spine = kappa(tree, tuple(v for p in parts for v in sorted(p)))
     while True:
         for tail, head in spine.arcs:
             if level[next(iter(tail))] == level[next(iter(head))]:
@@ -382,7 +434,8 @@ class TestFanCoverage:
         fixed = flip_graph(htree_eq).spines[0]
         inside = fiber(htree_eq, fixed)
         outside = [o for o in permutations(range(1, 7)) if o not in inside]
-        monkeypatch.setattr(fans, "kappa", lambda tree, order: fixed)
+        pairs = [(t, h) for (t,), (h,) in fixed.arcs]
+        monkeypatch.setattr(fans, "_sweep", lambda tree, order: pairs)
         with pytest.raises(VerificationFailure) as failure:
             fan_cover_check(htree_eq)
         assert len(outside) == 720 - len(inside) > 0

@@ -163,6 +163,28 @@ class TestRealization:
         assert verify_realization(tripod_pos)
         assert verify_realization(htree_diff)
 
+    def test_reports_every_failure_kind(self, htree_eq, monkeypatch):
+        from arbora import geometry
+
+        real = geometry.vertex_point
+
+        def shifted(tree, spine):
+            # every coordinate one too high: each total and each tight block fails
+            return {v: value + 1 for v, value in real(tree, spine).items()}
+
+        monkeypatch.setattr(geometry, "vertex_point", shifted)
+        certificate = verify_realization(htree_eq)
+        first = enumerate_maximal_spines(htree_eq)[0]
+        first_tight = next(
+            sorted(b) for b in enumerate_blocks(htree_eq) if b in first.key()
+        )
+        assert not certificate
+        assert certificate.witness == ("total", first.key())
+        assert certificate.failures == (
+            ("tight", 214 * 5, first_tight),
+            ("total", 214, first.key()),
+        )
+
     @given(signed_trees(max_nu=5))
     @settings(max_examples=12, deadline=None)
     def test_small_corpus_certificates(self, tree):

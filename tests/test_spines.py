@@ -203,6 +203,131 @@ def one_arc_mutations(spine):
                 yield Spine.make(spine.nodes, others + ((tail, node),))
 
 
+def bfs_side_sets(spine):
+    """Oracle: the tail side of each arc, by one search per arc."""
+    sides = {}
+    for arc in spine.arcs:
+        seen, stack = {arc[0]}, [arc[0]]
+        while stack:
+            for other in spine._incident[stack.pop()]:
+                if other != arc:
+                    for end in set(other) - seen:
+                        seen.add(end)
+                        stack.append(end)
+        sides[arc] = frozenset(v for label in seen for v in label)
+    return sides
+
+
+def mask_arcs(tree, spine):
+    """A maximal spine's arcs as sorted (tail, head, mask of the oracle side set)."""
+    index, sides = tree.standard_index, bfs_side_sets(spine)
+    arcs = []
+    for tail, head in spine.arcs:
+        mask = sum(1 << index[v] for v in sides[(tail, head)])
+        arcs.append((*tail, *head, mask))
+    return tuple(sorted(arcs))
+
+
+def assert_mask_check_agrees(tree, reasons):
+    """`_check_masks` accepts exactly the valid spines with their own source masks.
+
+    Checked on every maximal spine, on each one-arc mutation of it (reversed
+    arc or moved head), and on each copy of it with one mask bit flipped.
+    """
+    from arbora.spines import _check_masks
+
+    for base in enumerate_maximal_spines(tree):
+        for spine in (base, *one_arc_mutations(base)):
+            check = _check_masks(tree, mask_arcs(tree, spine))
+            assert check.ok == validate_spine(tree, spine).ok, (tree, spine)
+            reasons.add(check.reason and check.reason.split(" at ")[0])
+        arcs = mask_arcs(tree, base)
+        for k, (t, h, mask) in enumerate(arcs):
+            for bit in range(tree.nu):
+                flipped = arcs[:k] + ((t, h, mask ^ 1 << bit),) + arcs[k + 1 :]
+                check = _check_masks(tree, flipped)
+                assert not check, (tree, flipped)
+                reasons.add(check.reason)
+
+
+def assert_side_sets_agree(tree):
+    """The one-walk side sets equal the per-arc search on every spine that is a tree.
+
+    Checked on every maximal spine, its one-arc contractions and its one-arc
+    mutations; a mutation that closes a cycle is refused.
+    """
+    for base in enumerate_maximal_spines(tree):
+        contracted = [contract_arc(base, arc) for arc in base.arcs]
+        for spine in (base, *contracted, *one_arc_mutations(base)):
+            try:
+                sides = spine._side_sets
+            except InvalidSpine:
+                check = validate_spine(tree, spine)
+                assert check.reason == "arcs do not connect the nodes", spine
+            else:
+                assert sides == bfs_side_sets(spine), spine
+
+
+class TestMaskCheck:
+    def test_agrees_with_validate_spine_on_corpus(self):
+        reasons = set()
+        for tree in catalog.corpus(5, include_named=False):
+            assert_mask_check_agrees(tree, reasons)
+        assert reasons == {
+            None,
+            "arcs do not connect the nodes",
+            "source masks are not the spine's",
+            "incoming set",
+            "outgoing set",
+            "two incoming sets",
+            "two outgoing sets",
+        }
+
+    @pytest.mark.parametrize("name", sorted(NAMED_TREES))
+    def test_agrees_with_validate_spine_on_named_trees(self, name):
+        assert_mask_check_agrees(NAMED_TREES[name](), set())
+
+    @given(phantom_trees(max_vertices=8).filter(lambda tree: tree.nu <= 5))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_validate_spine_with_phantoms(self, tree):
+        assert_mask_check_agrees(tree, set())
+
+    def test_refuses_a_wrong_count_and_a_foreign_vertex(self, tripod_neg):
+        from arbora.spines import _check_masks
+
+        arcs = mask_arcs(tripod_neg, path_spine(1, 2, 3, 4))
+        assert _check_masks(tripod_neg, arcs)
+        assert _check_masks(tripod_neg, arcs[:-1]).reason == (
+            "arc count is not node count minus one"
+        )
+        (t, h, mask), *rest = arcs
+        assert _check_masks(tripod_neg, ((t, 9, mask), *rest)).reason == (
+            "arc endpoint is not a node"
+        )
+
+
+class TestSideSets:
+    def test_one_walk_equals_search_on_corpus(self):
+        for tree in catalog.corpus(5, include_named=False):
+            assert_side_sets_agree(tree)
+
+    @pytest.mark.parametrize("name", sorted(NAMED_TREES))
+    def test_one_walk_equals_search_on_named_trees(self, name):
+        assert_side_sets_agree(NAMED_TREES[name]())
+
+    @given(phantom_trees(max_vertices=8).filter(lambda tree: tree.nu <= 5))
+    @settings(max_examples=40, deadline=None)
+    def test_one_walk_equals_search_with_phantoms(self, tree):
+        assert_side_sets_agree(tree)
+
+    def test_forest_sides_stay_in_their_component(self):
+        spine = Spine.make(
+            [frozenset({1}), frozenset({2, 3}), frozenset({4}), frozenset({5})],
+            [(frozenset({1}), frozenset({2, 3})), (frozenset({5}), frozenset({4}))],
+        )
+        assert spine._side_sets == bfs_side_sets(spine)
+
+
 class TestValidation:
     def test_directed_path(self, tripod_neg):
         assert validate_spine(tripod_neg, path_spine(1, 2, 3, 4))
@@ -471,16 +596,28 @@ class TestFlipGraph:
         from arbora import spines
 
         tree = fresh_tree("val")
-        validated = []
+        checked, check = [], spines._check_masks
 
-        def counted(tree, spine):
-            validated.append(spine)
-            return validate_spine(tree, spine)
+        def counted(tree, arcs):
+            checked.append(tuple((t, h) for t, h, _ in arcs))
+            return check(tree, arcs)
 
-        monkeypatch.setattr(spines, "validate_spine", counted)
+        monkeypatch.setattr(spines, "_check_masks", counted)
         graph = flip_graph(tree)
-        assert len(validated) == len(graph.spines) > 1
-        assert set(validated) == set(graph.spines)
+        assert len(checked) == len(graph.spines) > 1
+        assert set(checked) == {
+            tuple((t, h) for (t,), (h,) in spine.arcs) for spine in graph.spines
+        }
+
+    def test_makes_no_validate_spine_call(self, monkeypatch):
+        from arbora import spines
+
+        def refused(tree, spine):
+            raise AssertionError("validate_spine called")
+
+        monkeypatch.setattr(spines, "validate_spine", refused)
+        graph = flip_graph(fresh_tree("noval"))
+        assert len(graph.spines) > 1
 
     def test_consumers_make_no_flips(self, htree_eq, tmp_path, monkeypatch, capsys):
         from arbora import cli, fans, geometry, spines, weak_order

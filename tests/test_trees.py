@@ -94,6 +94,16 @@ class TestBuildTree:
             tree_from_json(document)
 
 
+def assert_path_masks_equal_paths(tree):
+    """Entry [i][j] holds the standard vertices strictly inside `path_between`."""
+    index = tree.standard_index
+    for u in tree.standard:
+        for v in tree.standard:
+            inner = tree.path_between(u, v)[1:-1]
+            expected = sum(1 << index[w] for w in inner if w in index)
+            assert tree.path_masks[index[u]][index[v]] == expected, (tree, u, v)
+
+
 class TestPathsComponents:
     def test_path(self, tripod_neg):
         assert tripod_neg.path_between(1, 3) == (1, 2, 3)
@@ -110,6 +120,24 @@ class TestPathsComponents:
         )
         # standard vertices 1, 3 are the bits 1, 2; {4} alone is left out
         assert tree.cut_masks == ((2,), (1,))
+
+    def test_path_masks(self, tripod_neg):
+        # standard vertices 1, 2, 3, 4 are the bits 1, 2, 4, 8; only 2 is inner
+        assert tripod_neg.path_masks == (
+            (0, 0, 2, 2),
+            (0, 0, 0, 0),
+            (2, 0, 0, 2),
+            (2, 0, 2, 0),
+        )
+
+    def test_path_masks_equal_paths_on_corpus(self):
+        for tree in corpus(max_nu=5):
+            assert_path_masks_equal_paths(tree)
+
+    @given(phantom_trees(max_vertices=9))
+    @settings(max_examples=60, deadline=None)
+    def test_path_masks_equal_paths_with_phantoms(self, tree):
+        assert_path_masks_equal_paths(tree)
 
     def test_components(self, tripod_neg):
         comps = tripod_neg.components({2})

@@ -22,10 +22,15 @@ from .trees import SignedTree, build_tree, check_bound, signature_classes, tree_
 # about 10 s (path) to 33 s (star) at nu = 6 on 2 cores, well over 7x that at 7.
 ALL_ORDERS_MAX_NU = 6
 
-# Default bound of `flipgraph`, `complex` and `singletons`, which hold every
-# maximal spine: a 9-vertex star (109 601 spines) peaks at about 1.5 GiB,
-# and a 10-vertex star has nine times as many spines.
+# `flipgraph`, `complex` and `singletons` hold every maximal spine: on a
+# 9-vertex star (109 601 spines) they peak at 400-941 MiB, and a 10-vertex
+# star has nine times as many spines, so about 3.5-8.3 GiB.
 SPINES_MAX_NU = 9
+
+# `kappa` reads `SignedTree.path_masks`, nu^2 masks of up to nu bits, so
+# its memory grows with nu^3: on a path with nu = 1000, `arbora kappa` took
+# 1.3 s and peaked at 140 MiB RSS on a 2-core machine.
+KAPPA_MAX_NU = 1000
 
 
 def _load_tree(path: str) -> SignedTree:
@@ -62,7 +67,7 @@ def cmd_complex(args) -> int:
     from .complexes import complex_stats, enumerate_nested_sets
 
     tree = _load_tree(args.tree)
-    check_bound(tree, args.max_nu)
+    check_bound(tree, SPINES_MAX_NU)
     stats = complex_stats(tree)
     facets = enumerate_nested_sets(tree, max_only=True)
     _emit(
@@ -101,6 +106,7 @@ def cmd_kappa(args) -> int:
     from .spines import spine_to_json
 
     tree = _load_tree(args.tree)
+    check_bound(tree, KAPPA_MAX_NU)
     _emit(spine_to_json(kappa(tree, _parse_order(tree, args.order))))
     return 0
 
@@ -109,7 +115,7 @@ def cmd_flipgraph(args) -> int:
     from .spines import flip_graph, spine_to_json
 
     tree = _load_tree(args.tree)
-    check_bound(tree, args.max_nu)
+    check_bound(tree, SPINES_MAX_NU)
     graph = flip_graph(tree)
     spines = graph.spines
     edges = {
@@ -160,7 +166,7 @@ def cmd_singletons(args) -> int:
     from .geometry import singleton_count_recursive, singleton_spines
 
     tree = _load_tree(args.tree)
-    check_bound(tree, args.max_nu)
+    check_bound(tree, SPINES_MAX_NU)
     pairs = singleton_spines(tree)
     recursive = singleton_count_recursive(tree)
     _emit(
@@ -177,7 +183,7 @@ def cmd_barycenter(args) -> int:
     from .geometry import barycenter
 
     tree = _load_tree(args.tree)
-    point = barycenter(tree, max_nu=args.max_nu)
+    point = barycenter(tree)
     _emit({str(v): f"{q.numerator}/{q.denominator}" for v, q in point.items()})
     return 0
 
@@ -270,22 +276,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("blocks", cmd_blocks, help="list the relevant building blocks")
     p.add_argument("--max-nu", type=int, default=20)
-    p = add("complex", cmd_complex, help="f-vector and facets of the nested complex")
-    p.add_argument("--max-nu", type=int, default=SPINES_MAX_NU)
+    add("complex", cmd_complex, help="f-vector and facets of the nested complex")
     p = add("polytope", cmd_polytope, help="vertex/facet description with certificate")
     p.add_argument("--max-nu", type=int, default=10)
     p = add("kappa", cmd_kappa, help="sweep a linear order onto a spine")
     p.add_argument("--order", required=True, help="comma-separated vertex ids")
     p = add("flipgraph", cmd_flipgraph, help="the flip graph of maximal spines")
     p.add_argument("--dot", action="store_true")
-    p.add_argument("--max-nu", type=int, default=SPINES_MAX_NU)
     p = add("minkowski", cmd_minkowski, help="decomposition coefficients")
     p.add_argument("--check", action="store_true", help="force the oracle comparison")
     p.add_argument("--max-nu", type=int, default=7)
-    p = add("singletons", cmd_singletons, help="directed-path spines and their orders")
-    p.add_argument("--max-nu", type=int, default=SPINES_MAX_NU)
-    p = add("barycenter", cmd_barycenter, help="exact vertex barycenter")
-    p.add_argument("--max-nu", type=int, default=10)
+    add("singletons", cmd_singletons, help="directed-path spines and their orders")
+    add("barycenter", cmd_barycenter, help="exact vertex barycenter")
     p = add("isometric", cmd_isometric, help="isometry test for two trees")
     p.add_argument("other", help="second tree file (JSON)")
     p = add("congruence-check", cmd_congruence, help="fiber diagnostics in the weak order")

@@ -309,9 +309,9 @@ def _phantomize_vertex(tree: SignedTree, vertex) -> SignedTree:
     )
 
 
-def barycenter(tree: SignedTree, max_nu: int = MAX_NU) -> dict:
+def barycenter(tree: SignedTree) -> dict:
     """Exact vertex barycenter of the realization, under the polytope's bound."""
-    check_bound(tree, max_nu)
+    check_bound(tree, MAX_NU)
     spines = enumerate_maximal_spines(tree)
     totals = {v: Fraction(0) for v in tree.standard}
     for spine in spines:

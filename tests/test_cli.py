@@ -324,19 +324,16 @@ class TestExitCodes:
         assert captured.err == "error: nu = 11 exceeds the bound 9\n"
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize(
-        "command", ["flipgraph", "complex", "singletons", "barycenter"]
-    )
-    def test_spine_commands_take_max_nu(self, command, tmp_path, capsys):
-        path = tmp_path / "path4.json"
-        path.write_text(json.dumps(tree_to_json(path_neg(4))))
-        code = main([command, str(path), "--max-nu", "3"])
+    def test_kappa_bound(self, tmp_path, capsys):
+        # the sweep's path masks grow with nu^3, so kappa refuses nu > 1000
+        path = tmp_path / "path1001.json"
+        path.write_text(json.dumps(tree_to_json(path_neg(1001))))
+        code = main(["kappa", str(path), "--order", "1"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == "error: nu = 4 exceeds the bound 3\n"
+        assert captured.err == "error: nu = 1001 exceeds the bound 1000\n"
         assert "Traceback" not in captured.err
-        assert main([command, str(path), "--max-nu", "4"]) == 0
 
     def test_all_orders_bound(self, tmp_path, capsys):
         path = tmp_path / "path7.json"

@@ -2,9 +2,9 @@
 
 Every command reads a tree file ({"vertices": [...], "edges": [...]}) and
 writes one JSON document (DOT for `flipgraph --dot`) to stdout.  Exit code
-0 means success, 1 an input problem, 2 a failed verification.  Output is
-deterministic byte for byte.  Each command imports the modules it uses, so
-starting the front-end loads only the tree layer.
+0 means success, 1 an input problem (a usage error too), 2 a failed
+verification.  Output is deterministic byte for byte.  Each command imports
+the modules it uses, so starting the front-end loads only the tree layer.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ ALL_ORDERS_MAX_NU = 6
 # star has nine times as many spines, so about 3.5-8.3 GiB.
 SPINES_MAX_NU = 9
 
-# `kappa` reads `SignedTree.path_masks`, nu^2 masks of up to nu bits, so
-# its memory grows with nu^3: on a path with nu = 1000, `arbora kappa` took
-# 1.3 s and peaked at 140 MiB RSS on a 2-core machine.
+# `kappa` reads `SignedTree.path_masks`, the one separation table of the
+# tree, nu^2 masks of up to nu bits, so its memory grows with nu^3: on a
+# path with nu = 1000, `arbora kappa` took 1.3 s and peaked at 140 MiB RSS
+# on a 2-core machine.
 KAPPA_MAX_NU = 1000
 
 
@@ -261,8 +262,16 @@ def _with_signature(tree: SignedTree, signature: tuple) -> SignedTree:
     return build_tree(specs, tree.edges)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input: exit code 1, where argparse would exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arbora",
         description="Exact toolkit for signed trees, spines, and their polytopes.",
     )

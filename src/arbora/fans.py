@@ -8,8 +8,9 @@ swept positives deleted, v receives an arc from each earlier vertex u that
 is held together with v but not with the tail of an arc that v already
 received, walking back from the latest vertex.  Two vertices are held
 together when no deleted vertex lies strictly inside their tree path, that
-is, when their `SignedTree.path_masks` entry misses the deleted mask (the
-pair case of `blocks.held_together`); `adjacent_congruent` asks the same.
+is, when their `SignedTree.path_masks` entry misses the deleted mask: the
+pair case of `blocks.held_together`, read from the one separation table
+that blocks and spines read too.  `adjacent_congruent` asks the same.
 A positive vertex receives one arc, a negative one at most one per tree
 neighbour.  `fan_cover_check` certifies that the spine cones tile the braid
 fan in integers only: each cone is simplicial when one fraction-free

@@ -17,8 +17,8 @@ from math import comb
 from typing import Iterable, Optional
 
 from .blocks import enumerate_blocks, held_together
-from .errors import NotMaximal, RecursionMismatch, failure_summary
-from .spines import Spine, enumerate_maximal_spines, flip_graph
+from .errors import InvalidSpine, NotMaximal, RecursionMismatch, failure_summary
+from .spines import Spine, _masked, enumerate_maximal_spines, flip_graph
 from .trees import (
     Sign,
     SignedTree,
@@ -43,24 +43,25 @@ def vertex_point(tree: SignedTree, spine: Spine) -> dict:
     A negative vertex counts the simple spine paths through it that avoid
     its outgoing arc (trivial path included); a positive vertex takes the
     co-count nu + 1 - (same count with its incoming arc).  Computed by the
-    branch-size formula 1 + sum + sum of pairwise products.
+    branch-size formula 1 + sum + sum of pairwise products, the branches
+    being the source masks of the incoming arcs of a negative vertex and
+    the sink masks of the outgoing arcs of a positive one.
     """
     if not spine.is_maximal:
         raise NotMaximal("vertex coordinates need a maximal spine")
+    if not spine.vertices <= tree.standard_set:
+        raise InvalidSpine("spine labels are not standard vertices of the tree")
     nu = tree.nu
+    branches = {v: [] for v in tree.standard}
+    for tail, head, mask in _masked(tree, [(t, h) for (t,), (h,) in spine.arcs]):
+        if head in tree.negatives:
+            branches[head].append(mask.bit_count())
+        if tail in tree.positives:
+            branches[tail].append(nu - mask.bit_count())
     coords = {}
-    for node in spine.nodes:
-        (v,) = node
-        special = spine.outgoing(node) if v in tree.negatives else spine.incoming(node)
-        avoid = special[0] if special else None
-        branch_sizes = []
-        for arc in spine._incident[node]:
-            if arc == avoid:
-                continue
-            side = spine.source_set(arc) if arc[1] == node else spine.sink_set(arc)
-            branch_sizes.append(len(side))
-        pairs = sum(a * b for i, a in enumerate(branch_sizes) for b in branch_sizes[:i])
-        count = 1 + sum(branch_sizes) + pairs
+    for v, sizes in branches.items():
+        pairs = sum(a * b for i, a in enumerate(sizes) for b in sizes[:i])
+        count = 1 + sum(sizes) + pairs
         coords[v] = count if v in tree.negatives else nu + 1 - count
     return coords
 

@@ -54,7 +54,8 @@ def tight_rhs(tree: SignedTree, subset: Iterable) -> int:
         comb(len(spine.source_set(arc)) + 1, 2) for arc in spine.arcs
     )
     degree_excess = sum(
-        len(spine._incident[node]) - 1 for node in _source_nodes(spine, subset)
+        len(spine.incoming(node)) + len(spine.outgoing(node)) - 1
+        for node in _source_nodes(spine, subset)
     )
     return total - comb(nu + 1, 2) * degree_excess
 
@@ -156,7 +157,9 @@ def minkowski_coefficients(
     y vanishes off negative paths; positive singletons add the degree
     correction nu * deg / 2 + 1 to their weight; every other negative path
     contributes its weight as is.  The closed form holds for trees without
-    phantom vertices only; a phantom tree is refused.
+    phantom vertices only; a phantom tree is refused.  With `check` the
+    table is compared with the Moebius inversion of z; without it nothing
+    is verified, and `checked` says so.
     """
     check_standard(tree, "the closed form")
     check_bound(tree, max_nu)
@@ -181,7 +184,6 @@ def minkowski_coefficients(
 
     z = {subset: tight_rhs(tree, subset) for subset in y}
 
-    checked = False
     if check:
         oracle = _moebius(z)
         for subset, value in y.items():
@@ -190,19 +192,11 @@ def minkowski_coefficients(
                     f"closed form gives {value} but Moebius inversion "
                     f"{oracle[subset]} on {sorted(subset)}"
                 )
-        checked = True
-    else:
-        for subset, z_value in z.items():
-            implied = sum(y[w] for w in y if w <= subset)
-            if implied != z_value:
-                raise InversionMismatch(
-                    f"y does not invert to z on {sorted(subset)}"
-                )
 
     return CoefficientTable(
         tuple(sorted(z.items(), key=lambda kv: subset_key(kv[0]))),
         tuple(sorted(y.items(), key=lambda kv: subset_key(kv[0]))),
-        checked,
+        bool(check),
     )
 
 

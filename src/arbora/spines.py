@@ -8,14 +8,15 @@ distinct outgoing arcs in distinct components of the tree minus its
 positive part.  Every separation question here (validation, splitting,
 flips) is asked of one rule, `blocks.held_together`: no deleted vertex lies
 on the tree path between two vertices of a set.  It is answered from the
-vertex cuts that block convexity uses.  Maximal spines (all labels
-singletons) are the facets of the nested complex; contraction and
-splitting move between ranks; flips move between adjacent facets.  A flip
-is one rule, `_exchange`, on a maximal spine written as (tail, head,
-source mask) arcs: it exchanges one block of the nested set.  `flip_graph`
+one separation table that block convexity reads, `SignedTree.path_masks`.
+Maximal spines (all labels singletons) are the facets of the nested
+complex; contraction and splitting move between ranks; flips move between
+adjacent facets.  A flip is one rule, `_exchange`, on a maximal spine
+written as (tail, head, source mask) arcs: it exchanges one block of the
+nested set.  `flip_graph`
 is the one place where the flips of a tree are enumerated, and it checks
 each spine once, on those arcs: the masks are recomputed from the arcs by
-one rooted walk and the separation rule is read off the vertex cuts
+one rooted walk and the separation rule is read off the path masks
 (`_check_masks`, with `validate_spine` as its oracle).  Everything that
 walks the flip graph reads its neighbour table.
 """
@@ -27,7 +28,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .blocks import Compatibility, compatibility, held_together, open_components
-from .blocks import _convex, _cuts, _mask
+from .blocks import _span
 from .errors import (
     ImproperCut,
     InvalidSpine,
@@ -331,27 +332,28 @@ def _masked(tree: SignedTree, pairs: list) -> tuple:
 
 
 def _exchange(tree: SignedTree, arcs: tuple, k: int) -> tuple:
-    """Flip arc k = u -> v of a maximal spine given as source-mask arcs.
+    """Flip arc k = u -> v of a valid maximal spine given as source-mask arcs.
 
     The incoming arc of u rooted on v's side of the tree (arc_i) moves to v,
     and the outgoing arc of v sinking on u's side (arc_o) moves to u; a
     positive u has at most one incoming arc and a negative v at most one
-    outgoing arc, and that arc always moves.  The nested set changes in one
-    block: v -> u takes the source mask ((full ^ S) & ~sink(arc_o)) |
-    source(arc_i), where S is the source mask of u -> v, and every other
-    mask stays.  The arcs come back sorted.
+    outgoing arc, and that arc always moves.  On a valid spine the side set
+    of an arc at a negative u (positive v) lies in one component of the
+    tree minus u (v) and holds the arc's far end, so one path mask tells its
+    side.  The nested set changes in one block: v -> u takes the source mask
+    ((full ^ S) & ~sink(arc_o)) | source(arc_i), where S is the source mask
+    of u -> v, and every other mask stays.  The arcs come back sorted.
     """
     u, v, source = arcs[k]
-    at_u, at_v = _cuts(tree, (u,)), _cuts(tree, (v,))  # [(bit, component masks)]
-    bit_u, bit_v = at_u[0][0], at_v[0][0]
+    index, paths = tree.standard_index, tree.path_masks
+    bit_u, bit_v = 1 << index[u], 1 << index[v]
+    from_u, from_v = paths[index[u]], paths[index[v]]
     full = (1 << tree.nu) - 1
     exchanged, sink, gained = list(arcs), 0, 0
     for j, (tail, head, mask) in enumerate(arcs):
-        if head == u and (u in tree.positives or _convex(mask | bit_v, at_u)):
+        if head == u and (u in tree.positives or not from_v[index[tail]] & bit_u):
             exchanged[j], gained = (tail, v, mask), mask
-        elif tail == v and (
-            v in tree.negatives or _convex((full ^ mask) | bit_u, at_v)
-        ):
+        elif tail == v and (v in tree.negatives or not from_u[index[head]] & bit_v):
             exchanged[j], sink = (u, head, mask), full ^ mask
     exchanged[k] = (v, u, ((full ^ source) & ~sink) | gained)
     return tuple(sorted(exchanged))
@@ -362,12 +364,13 @@ def _check_masks(tree: SignedTree, arcs: tuple) -> SpineCheck:
 
     The arcs must form a tree on the standard vertices, and the source masks
     recomputed from that tree alone must be the given ones.  The separation
-    rule is then read off the vertex cuts: at a node w, the side masks of
-    its incoming arcs (source masks) lie in distinct components of the tree
-    minus w when w is negative, and w has at most one incoming arc when it
-    is positive; dually for the sink masks of its outgoing arcs.  This
-    accepts exactly the arcs of which `validate_spine` accepts the spine and
-    whose masks are its source sets.
+    rule is then read off the path masks: at a node w, the side masks of its
+    incoming arcs (source masks) each lie in one component of the tree minus
+    w (w is outside their span) and pairwise in distinct ones (w is inside
+    the path between the far ends of their arcs) when w is negative, and w
+    has at most one incoming arc when it is positive; dually for the sink
+    masks of its outgoing arcs.  This accepts exactly the arcs of which
+    `validate_spine` accepts the spine and whose masks are its source sets.
     """
     index = tree.standard_index
     if len(arcs) != tree.nu - 1:
@@ -379,22 +382,21 @@ def _check_masks(tree: SignedTree, arcs: tuple) -> SpineCheck:
         return SpineCheck(False, "arcs do not connect the nodes")
     if masks != [m for *_, m in arcs]:
         return SpineCheck(False, "source masks are not the spine's")
-    full, cuts, taken = (1 << tree.nu) - 1, tree.cut_masks, set()
+    full, paths, far_ends = (1 << tree.nu) - 1, tree.path_masks, {}
     for t, h, m in arcs:
-        for w, mask, part, side in (
-            (h, m, tree.negatives, "incoming"),
-            (t, full ^ m, tree.positives, "outgoing"),
+        for w, end, mask, part, side in (
+            (h, t, m, tree.negatives, "incoming"),
+            (t, h, full ^ m, tree.positives, "outgoing"),
         ):
-            component = 0  # with w kept, the whole tree is one component
-            if w in part:
-                component = next((c for c in cuts[index[w]] if not mask & ~c), None)
-                if component is None:
-                    reason = f"{side} set at node {[w]} spans several components"
-                    return SpineCheck(False, reason)
-            if (w, side, component) in taken:
+            bit, row = 1 << index[w], paths[index[end]]
+            if w in part and _span(tree, mask) & bit:
+                reason = f"{side} set at node {[w]} spans several components"
+                return SpineCheck(False, reason)
+            seen = far_ends.setdefault((w, side), [])
+            if seen and (w not in part or any(not row[e] & bit for e in seen)):
                 reason = f"two {side} sets at node {[w]} share a component"
                 return SpineCheck(False, reason)
-            taken.add((w, side, component))
+            seen.append(index[end])
     return SpineCheck(True)
 
 
@@ -425,7 +427,8 @@ def flip_arc(tree: SignedTree, spine: Spine, arc: tuple) -> Spine:
     """Exchange one arc of a maximal spine for the unique alternative.
 
     The arc u -> v is reversed, and one arc at each end may move (see
-    `_exchange`): the nested set changes in exactly one block.
+    `_exchange`): the nested set changes in exactly one block.  The spine
+    is checked on its mask arcs first, since `_exchange` assumes a valid one.
     """
     if not spine.is_maximal:
         raise NotMaximal("flips are defined on maximal spines")
@@ -434,9 +437,11 @@ def flip_arc(tree: SignedTree, spine: Spine, arc: tuple) -> Spine:
         raise UnknownArc(f"no arc {arc!r}")
     if not spine.vertices <= tree.standard_set:
         raise InvalidSpine("spine labels are not standard vertices of the tree")
-    pairs = [(t, h) for (t,), (h,) in spine.arcs]
-    flipped = _exchange(tree, _masked(tree, pairs), spine.arcs.index((tail, head)))
-    return _spine(tree, flipped)
+    arcs = _masked(tree, [(t, h) for (t,), (h,) in spine.arcs])
+    check = _check_masks(tree, arcs)
+    if not check:
+        raise InvalidSpine(f"cannot flip an invalid spine: {check.reason}")
+    return _spine(tree, _exchange(tree, arcs, spine.arcs.index((tail, head))))
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,12 @@ subsets, labels or blocks; they only participate in connectivity.  All
 values are immutable, so every operation in the package is a pure function.
 
 One breadth-first walk (`SignedTree._walk`) answers paths and components,
-and gives the per-tree bit masks of the vertex cuts (`cut_masks`) and of
-the paths between standard vertices (`path_masks`) that the separation
-questions of blocks, spines and sweeps read.  One canonical form answers
-every isomorphism question: the AHU classes
-(Aho, Hopcroft and Ullman) of the tree rooted at its centroids decide
-signed isomorphism and the automorphism part of the signature orbits.
-Neither recurses over the tree.
+and gives the bit masks of the paths between standard vertices
+(`path_masks`): the one table that every separation question of blocks,
+spines and sweeps reads.  One canonical form answers every isomorphism
+question: the AHU classes (Aho, Hopcroft and Ullman) of the tree rooted at
+its centroids decide signed isomorphism and the automorphism part of the
+signature orbits.  Neither recurses over the tree.
 
 Caching policy: a value derived from one tree is either a `cached_property`
 of the tree or is memoized by `tree_cached`, which keeps it in a weak
@@ -202,31 +201,15 @@ class SignedTree:
         return tuple(comps)
 
     @cached_property
-    def cut_masks(self) -> tuple:
-        """The vertex cuts of the tree as standard-vertex bit masks.
-
-        Entry i holds one mask (bits as in `standard_index`) per component
-        of the tree minus standard vertex i: the standard vertices of that
-        component.  Components made of phantoms alone are left out.
-        """
-        index = self.standard_index
-        cuts = []
-        for w in self.standard:
-            masks = (
-                sum(1 << index[x] for x in c if x in index)
-                for c in self.components((w,))
-            )
-            cuts.append(tuple(mask for mask in masks if mask))
-        return tuple(cuts)
-
-    @cached_property
     def path_masks(self) -> tuple:
         """The tree paths between standard vertices as bit masks.
 
         Entry [i][j] holds the standard vertices strictly inside the path
         between standard vertices i and j (bits and indices as in
         `standard_index`); phantoms carry no bit.  So u and v are held
-        together without a deleted set exactly when their entry misses it.
+        together without a deleted set exactly when their entry misses it,
+        and a set is held together when the entries from one member to the
+        others all miss it (`blocks.held_together`).
         """
         index = self.standard_index
         rows = []
@@ -371,7 +354,10 @@ def tree_from_json(doc) -> SignedTree:
     `phantom` must be a JSON boolean and every edge a two-element array.
     """
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        try:
+            doc = json.loads(doc)
+        except RecursionError:
+            raise NotATree("tree document nests too deeply") from None
     try:
         specs = [
             (v["id"], v.get("sign", "-"), v.get("phantom", False))

@@ -79,6 +79,14 @@ def assert_held_together_matches_paths(tree):
             )
 
 
+def assert_recognition_matches_paths(tree):
+    standard = sorted(tree.standard)
+    for r in range(len(standard) + 1):
+        for combo in combinations(standard, r):
+            check = is_building_block(tree, combo)
+            assert (check.ok, check.failed) == path_check(tree, combo), (tree, combo)
+
+
 class TestRecognition:
     def test_interior_negative_blocks(self, tripod_neg):
         check = is_building_block(tripod_neg, {1, 3})
@@ -98,12 +106,12 @@ class TestRecognition:
 
     @pytest.mark.parametrize("name", sorted(catalog.NAMED_TREES))
     def test_agrees_with_path_oracle_on_every_subset(self, name):
-        tree = catalog.NAMED_TREES[name]()
-        standard = sorted(tree.standard)
-        for r in range(len(standard) + 1):
-            for combo in combinations(standard, r):
-                check = is_building_block(tree, combo)
-                assert (check.ok, check.failed) == path_check(tree, combo), combo
+        assert_recognition_matches_paths(catalog.NAMED_TREES[name]())
+
+    @given(phantom_trees(max_vertices=8))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_path_oracle_with_phantoms(self, tree):
+        assert_recognition_matches_paths(tree)
 
 
 class TestEnumeration:

@@ -335,6 +335,45 @@ class TestExitCodes:
         assert captured.err == "error: nu = 1001 exceeds the bound 1000\n"
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["blocks"],
+            ["blocks", "{tree}", "--bogus"],
+            ["blocks", "{tree}", "--max-nu", "x"],
+            ["bogus", "{tree}"],
+        ],
+        ids=["no-tree", "unknown-option", "bad-int", "unknown-command"],
+    )
+    def test_usage_error_is_bad_input(self, argv, tripod_file, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([arg.format(tree=tripod_file) for arg in argv])
+        captured = capsys.readouterr()
+        assert exited.value.code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("usage: arbora")
+        assert "error: " in captured.err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["blocks", "--help"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: arbora blocks")
+
+    def test_deeply_nested_document_is_bad_input(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        result = subprocess.run(
+            [sys.executable, "-m", "arbora.cli", "blocks", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
     def test_all_orders_bound(self, tmp_path, capsys):
         path = tmp_path / "path7.json"
         path.write_text(json.dumps(tree_to_json(path_neg(7))))

@@ -5,9 +5,10 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 
+from arbora import catalog
 from arbora.blocks import enumerate_blocks
 from arbora.catalog import path_neg
-from arbora.errors import NotMaximal, PreconditionViolated
+from arbora.errors import InvalidSpine, NotMaximal, PreconditionViolated
 from arbora.fans import fiber, kappa
 from arbora.geometry import (
     barycenter,
@@ -30,7 +31,7 @@ from arbora.spines import (
 )
 from arbora.trees import FlipAllSigns, FlipLeafSign, build_tree, transform
 
-from conftest import signed_trees
+from conftest import phantom_trees, signed_trees
 
 
 def brute_vertex_point(tree, spine):
@@ -82,6 +83,32 @@ def brute_vertex_point(tree, spine):
     return coords
 
 
+def side_set_vertex_point(tree, spine):
+    """Oracle: the branch-size formula on frozenset side sets, per node."""
+    coords = {}
+    for node in spine.nodes:
+        (v,) = node
+        special = spine.outgoing(node) if v in tree.negatives else spine.incoming(node)
+        avoid = special[0] if special else None
+        branch_sizes = []
+        for arc in spine._incident[node]:
+            if arc == avoid:
+                continue
+            side = spine.source_set(arc) if arc[1] == node else spine.sink_set(arc)
+            branch_sizes.append(len(side))
+        pairs = sum(a * b for i, a in enumerate(branch_sizes) for b in branch_sizes[:i])
+        count = 1 + sum(branch_sizes) + pairs
+        coords[v] = count if v in tree.negatives else tree.nu + 1 - count
+    return coords
+
+
+def assert_vertex_points_match_side_sets(tree):
+    for spine in enumerate_maximal_spines(tree):
+        point = vertex_point(tree, spine)
+        assert point == side_set_vertex_point(tree, spine), (tree, spine)
+        assert list(point) == sorted(point)
+
+
 def _path_uses_arc(path, arc):
     for a, b in zip(path, path[1:]):
         if (a, b) == arc or (b, a) == arc:
@@ -127,6 +154,23 @@ class TestVertexPoint:
     def test_against_brute_path_count(self, tree):
         for spine in enumerate_maximal_spines(tree)[:8]:
             assert vertex_point(tree, spine) == brute_vertex_point(tree, spine)
+
+    def test_equals_side_set_formula_on_corpus_and_named_trees(self):
+        for tree in catalog.corpus(max_nu=5):
+            assert_vertex_points_match_side_sets(tree)
+
+    @given(phantom_trees(max_vertices=8).filter(lambda tree: tree.nu <= 5))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_side_set_formula_with_phantoms(self, tree):
+        assert_vertex_points_match_side_sets(tree)
+
+    def test_non_standard_vertex_is_an_invalid_spine(self):
+        tree = build_tree([(1, "-"), (2, "+"), (3, "-", True)], [(1, 2), (2, 3)])
+        spine = Spine.make(
+            [frozenset({1}), frozenset({3})], [(frozenset({1}), frozenset({3}))]
+        )
+        with pytest.raises(InvalidSpine):
+            vertex_point(tree, spine)
 
     def test_perm_point(self):
         assert perm_point((1, 2, 3, 4)) == {1: 1, 2: 2, 3: 3, 4: 4}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from arbora.blocks import enumerate_blocks
-from arbora.errors import BoundExceeded, PreconditionViolated
+from arbora.errors import BoundExceeded, InversionMismatch, PreconditionViolated
 from arbora.geometry import vertex_point
 from arbora.catalog import corpus
 from arbora.minkowski import (
@@ -267,6 +267,17 @@ class TestCoefficients:
         table = minkowski_coefficients(tree)
         assert table.checked
         assert dict(table.y) == dict(moebius_oracle(tree))
+
+    def test_unchecked_table_is_not_verified(self, tripod_pos, monkeypatch):
+        from arbora import minkowski
+
+        real = minkowski.path_weight
+        monkeypatch.setattr(minkowski, "path_weight", lambda t, p: real(t, p) + 1)
+        table = minkowski_coefficients(tripod_pos, check=False)
+        assert not table.checked
+        assert table.y_of({1}) == 2
+        with pytest.raises(InversionMismatch):
+            minkowski_coefficients(tripod_pos, check=True)
 
     @given(signed_trees(max_nu=5))
     @settings(max_examples=12, deadline=None)

@@ -528,6 +528,27 @@ class TestFlips:
     def test_equals_frozenset_oracle_with_phantoms(self, tree):
         assert_flips_agree(tree)
 
+    def test_refuses_an_invalid_spine_before_exchanging(self, monkeypatch):
+        from arbora import spines
+
+        invalid = [
+            (tree, spine)
+            for tree in catalog.corpus(max_nu=4, include_named=False)
+            for base in enumerate_maximal_spines(tree)
+            for spine in one_arc_mutations(base)
+            if not validate_spine(tree, spine)
+        ]
+
+        def refused(*args):
+            raise AssertionError("_exchange called")
+
+        monkeypatch.setattr(spines, "_exchange", refused)
+        assert invalid
+        for tree, spine in invalid:
+            for arc in spine.arcs:
+                with pytest.raises(InvalidSpine):
+                    flip_arc(tree, spine, arc)
+
     def test_vertex_outside_the_tree_is_an_arbora_error(self, tripod_neg):
         spine = star_into(2, [1, 3, 9])  # 9 is no vertex of the tripod
         for arc in spine.arcs:

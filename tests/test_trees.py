@@ -109,18 +109,6 @@ class TestPathsComponents:
         assert tripod_neg.path_between(1, 3) == (1, 2, 3)
         assert tripod_neg.path_between(2, 2) == (2,)
 
-    def test_cut_masks(self, tripod_neg):
-        # standard vertices 1, 2, 3, 4 are the bits 1, 2, 4, 8
-        assert tripod_neg.cut_masks == ((14,), (1, 4, 8), (11,), (7,))
-
-    def test_cut_masks_skip_phantom_components(self):
-        tree = build_tree(
-            [(1, "-"), (2, "-", True), (3, "+"), (4, "-", True)],
-            [(1, 2), (2, 3), (3, 4)],
-        )
-        # standard vertices 1, 3 are the bits 1, 2; {4} alone is left out
-        assert tree.cut_masks == ((2,), (1,))
-
     def test_path_masks(self, tripod_neg):
         # standard vertices 1, 2, 3, 4 are the bits 1, 2, 4, 8; only 2 is inner
         assert tripod_neg.path_masks == (

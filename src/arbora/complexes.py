@@ -2,8 +2,8 @@
 
 Faces are pairwise-compatible sets of relevant blocks.  Facets are taken
 from the flip graph of maximal spines (connected, output-linear) rather
-than from a clique search; the clique route stays available in the tests
-as an independent oracle.  Internally a face is an `int` mask over the
+than from a clique search, as the source masks of its mask arcs; the
+clique route stays available in the tests as an independent oracle.  Internally a face is an `int` mask over the
 relevant blocks and the faces of a facet are its submasks; frozensets are
 built only for the faces returned, in canonical order: by the sorted tuple
 of their blocks' sorted members.
@@ -15,9 +15,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .blocks import enumerate_blocks
+from .blocks import _mask, enumerate_blocks
 from .errors import NotABuildingBlock
-from .spines import enumerate_maximal_spines
+from .spines import flip_graph
 from .trees import SignedTree
 
 
@@ -27,9 +27,8 @@ def _numbered_facets(tree: SignedTree) -> tuple:
     Ascending bit indices (`_indices`) then sort faces in canonical order.
     """
     blocks = tuple(sorted(enumerate_blocks(tree), key=sorted))
-    bit = {block: 1 << i for i, block in enumerate(blocks)}
-    spines = enumerate_maximal_spines(tree)
-    return blocks, [sum(bit[b] for b in s.key()) for s in spines]
+    bit = {_mask(tree, block): 1 << i for i, block in enumerate(blocks)}
+    return blocks, [sum(bit[m] for *_, m in arcs) for arcs in flip_graph(tree).arcs]
 
 
 def _indices(mask: int) -> tuple:

@@ -14,7 +14,8 @@ that blocks and spines read too.  `adjacent_congruent` asks the same.
 A positive vertex receives one arc, a negative one at most one per tree
 neighbour.  `fan_cover_check` certifies that the spine cones tile the braid
 fan in integers only: each cone is simplicial when one fraction-free
-(Bareiss) determinant of its 0/1 rays and the all-ones row is nonzero.
+(Bareiss) determinant of its 0/1 rays, the sink masks of the flip graph's
+mask arcs, and the all-ones row is nonzero.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
                 failures.append(("duplicate-order", order))
             owner[order] = i
     order_count = sum(map(len, fibers))
-    pairs = [[(t, h) for (t,), (h,) in s.arcs] for s in spines]
+    pairs = [[arc[:2] for arc in arcs] for arcs in graph.arcs]
     for order in permutations(sorted(tree.standard)):
         image = _sweep(tree, order)
         if order in owner and image == pairs[owner[order]]:
@@ -234,8 +235,8 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
         failures.append(("fiber-sizes", order_count))
 
     # (b) walls separate flip-adjacent cones
-    for s, fib, targets in zip(spines, fibers, graph.neighbors):
-        for ((u,), (v,)), j in zip(s.arcs, targets):
+    for fib, arcs, targets in zip(fibers, graph.arcs, graph.neighbors):
+        for (u, v, _), j in zip(arcs, targets):
             for order in fib:
                 if order.index(u) > order.index(v):
                     failures.append(("wall-side", (u, v, order)))
@@ -244,16 +245,17 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
                     failures.append(("wall-side-neighbor", (u, v, order)))
 
     # (c) simplicial cones: rays independent modulo the all-ones line
-    vertices = sorted(tree.standard)
-    for s in spines:
+    index, full = tree.standard_index, (1 << tree.nu) - 1
+    for s, arcs in zip(spines, graph.arcs):
         rays = []
-        for arc in s.arcs:
-            sink = s.sink_set(arc)
-            rays.append([1 if v in sink else 0 for v in vertices])
-            for (tu,), (th,) in s.arcs:
-                if tu in sink and th not in sink:
-                    failures.append(("ray-violates-arc", (sorted(sink), tu, th)))
-        if len(s.arcs) != tree.nu - 1:
+        for *_, mask in arcs:
+            sink = full ^ mask
+            rays.append([sink >> i & 1 for i in range(tree.nu)])
+            for tu, th, _ in arcs:
+                if sink >> index[tu] & 1 and not sink >> index[th] & 1:
+                    members = sorted(v for v in index if sink >> index[v] & 1)
+                    failures.append(("ray-violates-arc", (members, tu, th)))
+        if len(arcs) != tree.nu - 1:
             failures.append(("arc-count", s.key()))
         elif _determinant(rays + [[1] * tree.nu]) == 0:
             failures.append(("rays-dependent", sorted(map(sorted, s.key()))))

@@ -2,10 +2,12 @@
 
 The permutahedron sits inside the signed tree associahedron, which sits
 inside the parallelepiped spanned by its parallel facets.  Vertices of the
-middle polytope are integer points counting paths in maximal spines; facets
-are the half-spaces of the building blocks.  Everything here is exact:
-integers for coordinates and right-hand sides, rationals for barycenters.
-The parallelepiped functions need every vertex signed, so they refuse a
+middle polytope are integer points counting paths in maximal spines, read
+off the sizes of the flip graph's source masks (`_point`); facets are the
+half-spaces of the building blocks, tight at a vertex when the block is
+one of its source masks.  Everything here is exact: integers for
+coordinates and right-hand sides, rationals for barycenters.  The
+parallelepiped functions need every vertex signed, so they refuse a
 phantom tree.
 """
 
@@ -16,9 +18,9 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional
 
-from .blocks import enumerate_blocks, held_together
-from .errors import InvalidSpine, NotMaximal, RecursionMismatch, failure_summary
-from .spines import Spine, _masked, enumerate_maximal_spines, flip_graph
+from .blocks import _mask, enumerate_blocks, held_together
+from .errors import NotMaximal, RecursionMismatch, failure_summary
+from .spines import Spine, _checked_arcs, flip_graph
 from .trees import (
     Sign,
     SignedTree,
@@ -49,11 +51,14 @@ def vertex_point(tree: SignedTree, spine: Spine) -> dict:
     """
     if not spine.is_maximal:
         raise NotMaximal("vertex coordinates need a maximal spine")
-    if not spine.vertices <= tree.standard_set:
-        raise InvalidSpine("spine labels are not standard vertices of the tree")
+    return _point(tree, _checked_arcs(tree, spine))
+
+
+def _point(tree: SignedTree, arcs: tuple) -> dict:
+    """`vertex_point` on the checked (tail, head, source mask) arcs of a spine."""
     nu = tree.nu
     branches = {v: [] for v in tree.standard}
-    for tail, head, mask in _masked(tree, [(t, h) for (t,), (h,) in spine.arcs]):
+    for tail, head, mask in arcs:
         if head in tree.negatives:
             branches[head].append(mask.bit_count())
         if tail in tree.positives:
@@ -95,14 +100,14 @@ class PolytopeDescription:
 def realize_polytope(tree: SignedTree, max_nu: int = MAX_NU) -> PolytopeDescription:
     """Vertex and facet descriptions with a verification certificate."""
     check_bound(tree, max_nu)
-    spines = flip_graph(tree).spines
-    points = [vertex_point(tree, s) for s in spines]
+    graph = flip_graph(tree)
+    points = [_point(tree, arcs) for arcs in graph.arcs]
     facets = tuple(
         (block, HalfSpace(block, comb(len(block) + 1, 2)))
         for block in enumerate_blocks(tree)
     )
     return PolytopeDescription(
-        tuple(zip(spines, points)), facets, _certify(tree, points)
+        tuple(zip(graph.spines, points)), facets, _certify(tree, points)
     )
 
 
@@ -116,30 +121,27 @@ def verify_realization(tree: SignedTree) -> RealizationCertificate:
     first failure as `witness` and every failure kind, sorted by name, with
     its count and first witness as `failures`.
     """
-    return _certify(
-        tree, [vertex_point(tree, spine) for spine in flip_graph(tree).spines]
-    )
+    return _certify(tree, [_point(tree, arcs) for arcs in flip_graph(tree).arcs])
 
 
 def _certify(tree: SignedTree, points: list) -> RealizationCertificate:
     """`verify_realization` on the points of the flip graph's spines, in order."""
-    nu = tree.nu
-    blocks = enumerate_blocks(tree)
-    graph = flip_graph(tree)
-    failures = []
-    for spine, point, targets in zip(graph.spines, points, graph.neighbors):
+    nu, graph, failures = tree.nu, flip_graph(tree), []
+    blocks = [(b, _mask(tree, b), comb(len(b) + 1, 2)) for b in enumerate_blocks(tree)]
+    for spine, arcs, point, targets in zip(
+        graph.spines, graph.arcs, points, graph.neighbors
+    ):
         if sum(point.values()) != comb(nu + 1, 2):
             failures.append(("total", spine.key()))
-        nested = spine.key()
-        for block in blocks:
+        nested = {mask for *_, mask in arcs}  # tight blocks: the source masks
+        for block, mask, bound in blocks:
             value = sum(point[v] for v in block)
-            bound = comb(len(block) + 1, 2)
-            if block in nested:
+            if mask in nested:
                 if value != bound:
                     failures.append(("tight", sorted(block)))
             elif value <= bound:
                 failures.append(("strict", sorted(block)))
-        for ((u,), (v,)), j in zip(spine.arcs, targets):
+        for (u, v, _), j in zip(arcs, targets):
             other = points[j]
             delta = {w: other[w] - point[w] for w in point}
             lam = delta[u]
@@ -247,9 +249,11 @@ def singleton_spines(tree: SignedTree) -> tuple:
     """Maximal spines that are directed paths, with their unique extensions."""
     from .fans import fiber
 
+    graph = flip_graph(tree)
     results = []
-    for spine in enumerate_maximal_spines(tree):
-        if any(len(spine.outgoing(n)) > 1 or len(spine.incoming(n)) > 1 for n in spine.nodes):
+    for spine, arcs in zip(graph.spines, graph.arcs):
+        tails, heads = {t for t, _, _ in arcs}, {h for _, h, _ in arcs}
+        if len(tails) < len(arcs) or len(heads) < len(arcs):  # not a directed path
             continue
         orders = fiber(tree, spine)
         if len(orders) == 1:
@@ -313,10 +317,10 @@ def _phantomize_vertex(tree: SignedTree, vertex) -> SignedTree:
 def barycenter(tree: SignedTree) -> dict:
     """Exact vertex barycenter of the realization, under the polytope's bound."""
     check_bound(tree, MAX_NU)
-    spines = enumerate_maximal_spines(tree)
+    spines = flip_graph(tree).arcs
     totals = {v: Fraction(0) for v in tree.standard}
-    for spine in spines:
-        for v, value in vertex_point(tree, spine).items():
+    for arcs in spines:
+        for v, value in _point(tree, arcs).items():
             totals[v] += value
     return {v: total / len(spines) for v, total in totals.items()}
 

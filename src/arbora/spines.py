@@ -13,12 +13,14 @@ Maximal spines (all labels singletons) are the facets of the nested
 complex; contraction and splitting move between ranks; flips move between
 adjacent facets.  A flip is one rule, `_exchange`, on a maximal spine
 written as (tail, head, source mask) arcs: it exchanges one block of the
-nested set.  `flip_graph`
-is the one place where the flips of a tree are enumerated, and it checks
-each spine once, on those arcs: the masks are recomputed from the arcs by
-one rooted walk and the separation rule is read off the path masks
-(`_check_masks`, with `validate_spine` as its oracle).  Everything that
-walks the flip graph reads its neighbour table.
+nested set.  `flip_graph` is the one place where the flips of a tree are
+enumerated, and it checks each spine once, on those arcs: the masks are
+recomputed from the arcs by the one rooted walk, `_source_masks`, and the
+separation rule is read off the path masks (`_check_masks`, with
+`validate_spine` as its oracle).  It keeps the mask arcs of every spine,
+and everything that reads the flip graph reads them and its neighbour
+table; a `Spine` is built for output.  The side sets of a `Spine` come
+from the same walk.
 """
 
 from __future__ import annotations
@@ -91,33 +93,18 @@ class Spine:
     def _side_sets(self) -> Mapping:
         """For each arc, the set of vertices on its tail side.
 
-        One breadth-first walk per component roots the arcs; then, children
-        first, each node gathers the vertices below it.  An arc's tail side
-        is what lies below its lower end when that end is its tail, and the
-        rest of the component when it is its head.  Arcs that close a cycle
-        have no sides: they raise `InvalidSpine`.
+        Read off the source masks of the one rooted walk, `_source_masks`,
+        over the nodes.  Arcs that do not form a tree on the nodes have no
+        sides: they raise `InvalidSpine`.
         """
-        sides, reached = {}, set()
-        for root in self.nodes:
-            if root in reached:
-                continue
-            reached.add(root)
-            walk = [(root, None, None)]  # (node, arc to its parent, parent)
-            for node, up, _ in walk:
-                for arc in self._incident[node]:
-                    if arc != up:
-                        end = arc[0] if arc[1] == node else arc[1]
-                        if end in reached:
-                            raise InvalidSpine("spine arcs close a cycle")
-                        reached.add(end)
-                        walk.append((end, arc, node))
-            below = {node: set(node) for node, _, _ in walk}
-            for node, _, parent in reversed(walk[1:]):
-                below[parent] |= below[node]
-            for node, arc, _ in walk[1:]:
-                side = below[node] if arc[0] == node else below[root] - below[node]
-                sides[arc] = frozenset(side)
-        return sides
+        masks = _source_masks(self.nodes, self.arcs)
+        if masks is None:
+            raise InvalidSpine("spine arcs do not form a tree")
+        labels = list(enumerate(self.nodes))
+        return {
+            arc: frozenset(v for i, label in labels if mask >> i & 1 for v in label)
+            for arc, mask in zip(self.arcs, masks)
+        }
 
     def source_set(self, arc: tuple) -> frozenset:
         sides = self._side_sets
@@ -192,17 +179,7 @@ def validate_spine(tree: SignedTree, spine: Spine) -> SpineCheck:
     for tail, head in spine.arcs:
         if tail not in label_set or head not in label_set:
             return SpineCheck(False, "arc endpoint is not a node")
-    # connectivity on nodes
-    seen = {labels[0]}
-    stack = [labels[0]]
-    while stack:
-        cur = stack.pop()
-        for tail, head in spine._incident[cur]:
-            for end in (tail, head):
-                if end not in seen:
-                    seen.add(end)
-                    stack.append(end)
-    if len(seen) != len(labels):
+    if _source_masks(labels, spine.arcs) is None:
         return SpineCheck(False, "arcs do not connect the nodes")
 
     for label in labels:
@@ -290,44 +267,47 @@ def split_node(tree: SignedTree, spine: Spine, node: Iterable, vertex) -> Spine:
     return result
 
 
-def _source_masks(tree: SignedTree, arcs) -> Optional[list]:
-    """The source masks of (tail, head, ...) arcs on the standard vertices.
+def _source_masks(nodes, arcs) -> Optional[list]:
+    """The source masks of (tail, head, ...) arcs over `nodes`, bit i for nodes[i].
 
-    One breadth-first walk from the first standard vertex roots the arcs;
-    then, children first, each vertex gathers the bits below it.  An arc's
-    source mask is what lies below its lower end when that end is its tail,
-    and the complement when it is its head.  None when the walk misses a
-    standard vertex, so for nu - 1 arcs None exactly when they do not form
-    a tree.
+    The package's one rooted walk: a breadth-first walk from the first node
+    roots the arcs; then, children first, each node gathers the bits below
+    it.  An arc's source mask is what lies below its lower end when that end
+    is its tail, and the complement when it is its head.  None unless the
+    arcs form a tree on the nodes.
     """
-    index, standard = tree.standard_index, tree.standard
-    incident = {v: [] for v in standard}
-    for k, arc in enumerate(arcs):
-        incident[arc[0]].append((k, arc[1]))
-        incident[arc[1]].append((k, arc[0]))
-    walk = [(standard[0], None, None)]  # (vertex, arc to its parent, parent)
-    reached = {standard[0]}
-    for v, _, _ in walk:
-        for k, w in incident[v]:
-            if w not in reached:
-                reached.add(w)
-                walk.append((w, k, v))
-    if len(walk) != len(standard):
+    if len(arcs) != len(nodes) - 1:
         return None
-    full = (1 << len(standard)) - 1
-    below = {v: 1 << index[v] for v in standard}
+    index = {node: i for i, node in enumerate(nodes)}
+    incident = [[] for _ in nodes]  # (arc, far end, far end is its tail)
+    for k, arc in enumerate(arcs):
+        t, h = index.get(arc[0]), index.get(arc[1])
+        if t is None or h is None:
+            return None
+        incident[t].append((k, h, False))
+        incident[h].append((k, t, True))
+    walk, reached = [(0, None, None, None)], {0}  # (node, arc up, parent, is tail)
+    for i, _, _, _ in walk:
+        for k, j, tail in incident[i]:
+            if j not in reached:
+                reached.add(j)
+                walk.append((j, k, i, tail))
+    if len(walk) != len(nodes):
+        return None
+    full = (1 << len(nodes)) - 1
+    below = [1 << i for i in range(len(nodes))]
     masks = [0] * len(arcs)
-    for v, k, parent in reversed(walk[1:]):
-        below[parent] |= below[v]
-        masks[k] = below[v] if arcs[k][0] == v else full ^ below[v]
+    for i, k, parent, tail in reversed(walk[1:]):
+        below[parent] |= below[i]
+        masks[k] = below[i] if tail else full ^ below[i]
     return masks
 
 
 def _masked(tree: SignedTree, pairs: list) -> tuple:
     """Sorted (tail, head) pairs of a maximal spine as (tail, head, source mask) arcs."""
-    masks = _source_masks(tree, pairs)
+    masks = _source_masks(tree.standard, pairs)
     if masks is None:
-        raise InvalidSpine("arcs do not connect the standard vertices")
+        raise InvalidSpine("arcs do not form a tree on the standard vertices")
     return tuple((t, h, m) for (t, h), m in zip(pairs, masks))
 
 
@@ -377,7 +357,7 @@ def _check_masks(tree: SignedTree, arcs: tuple) -> SpineCheck:
         return SpineCheck(False, "arc count is not node count minus one")
     if any(t not in index or h not in index for t, h, _ in arcs):
         return SpineCheck(False, "arc endpoint is not a node")
-    masks = _source_masks(tree, arcs)
+    masks = _source_masks(tree.standard, arcs)
     if masks is None:
         return SpineCheck(False, "arcs do not connect the nodes")
     if masks != [m for *_, m in arcs]:
@@ -423,6 +403,20 @@ def _spine(tree: SignedTree, arcs: tuple, labels: Optional[Mapping] = None) -> S
     return _maximal_spine(tree, arcs, labels)
 
 
+def _checked_arcs(tree: SignedTree, spine: Spine) -> tuple:
+    """The (tail, head, source mask) arcs of a maximal spine, in its arc order.
+
+    Raises `InvalidSpine` unless `_check_masks` accepts them.
+    """
+    if not spine.vertices <= tree.standard_set:
+        raise InvalidSpine("spine labels are not standard vertices of the tree")
+    arcs = _masked(tree, [(t, h) for (t,), (h,) in spine.arcs])
+    check = _check_masks(tree, arcs)
+    if not check:
+        raise InvalidSpine(f"invalid spine: {check.reason}")
+    return arcs
+
+
 def flip_arc(tree: SignedTree, spine: Spine, arc: tuple) -> Spine:
     """Exchange one arc of a maximal spine for the unique alternative.
 
@@ -435,12 +429,7 @@ def flip_arc(tree: SignedTree, spine: Spine, arc: tuple) -> Spine:
     tail, head = (frozenset(arc[0]), frozenset(arc[1]))
     if (tail, head) not in set(spine.arcs):
         raise UnknownArc(f"no arc {arc!r}")
-    if not spine.vertices <= tree.standard_set:
-        raise InvalidSpine("spine labels are not standard vertices of the tree")
-    arcs = _masked(tree, [(t, h) for (t,), (h,) in spine.arcs])
-    check = _check_masks(tree, arcs)
-    if not check:
-        raise InvalidSpine(f"cannot flip an invalid spine: {check.reason}")
+    arcs = _checked_arcs(tree, spine)
     return _spine(tree, _exchange(tree, arcs, spine.arcs.index((tail, head))))
 
 
@@ -450,6 +439,7 @@ class FlipGraph:
 
     spines: tuple  # canonically sorted
     neighbors: tuple  # per spine, the index of the flip across each of its arcs
+    arcs: tuple  # per spine, its sorted (tail, head, source mask) arcs, as `spine.arcs`
 
 
 @tree_cached
@@ -487,6 +477,7 @@ def flip_graph(tree: SignedTree) -> FlipGraph:
     return FlipGraph(
         tuple(flips[i][0] for i in ranked),
         tuple(tuple(rank[j] for j in flips[i][1]) for i in ranked),
+        tuple(queue[i] for i in ranked),
     )
 
 

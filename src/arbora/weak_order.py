@@ -72,14 +72,14 @@ def increasing_flip_digraph(tree: SignedTree, base: Iterable) -> FlipDigraph:
     pos = {v: i for i, v in enumerate(base)}
     graph = flip_graph(tree)
     spines = graph.spines
-    arcs = set()
-    for i, (spine, targets) in enumerate(zip(spines, graph.neighbors)):
-        for ((u,), (v,)), j in zip(spine.arcs, targets):
+    flips = set()
+    for i, (arcs, targets) in enumerate(zip(graph.arcs, graph.neighbors)):
+        for (u, v, _), j in zip(arcs, targets):
             if pos[u] < pos[v]:
-                arcs.add((i, j, (u, v)))
+                flips.add((i, j, (u, v)))
             else:
-                arcs.add((j, i, (v, u)))
-    arcs = tuple(sorted(arcs))
+                flips.add((j, i, (v, u)))
+    arcs = tuple(sorted(flips))
 
     indeg = {i: 0 for i in range(len(spines))}
     outdeg = {i: 0 for i in range(len(spines))}
@@ -117,8 +117,8 @@ def h_vector(tree: SignedTree, base: Iterable) -> tuple:
     base = _check_order(tree, base)
     pos = {v: i for i, v in enumerate(base)}
     counts = [0] * tree.nu
-    for spine in enumerate_maximal_spines(tree):
-        counts[sum(pos[u] < pos[v] for (u,), (v,) in spine.arcs)] += 1
+    for arcs in flip_graph(tree).arcs:
+        counts[sum(pos[u] < pos[v] for u, v, _ in arcs)] += 1
     return tuple(counts)
 
 

@@ -22,10 +22,12 @@ from arbora.geometry import (
     singleton_spines,
     vertex_point,
     verify_realization,
+    _point,
 )
 from arbora.spines import (
     Spine,
     enumerate_maximal_spines,
+    flip_graph,
     one_node_spine,
     validate_spine,
 )
@@ -103,9 +105,12 @@ def side_set_vertex_point(tree, spine):
 
 
 def assert_vertex_points_match_side_sets(tree):
-    for spine in enumerate_maximal_spines(tree):
+    """`vertex_point`, and `_point` on the flip graph's arcs, equal the oracle."""
+    graph = flip_graph(tree)
+    for spine, arcs in zip(graph.spines, graph.arcs):
         point = vertex_point(tree, spine)
         assert point == side_set_vertex_point(tree, spine), (tree, spine)
+        assert _point(tree, arcs) == point, (tree, spine)
         assert list(point) == sorted(point)
 
 
@@ -172,6 +177,33 @@ class TestVertexPoint:
         with pytest.raises(InvalidSpine):
             vertex_point(tree, spine)
 
+    def test_cycle_and_two_outgoing_arcs_are_invalid_spines(self):
+        tree = path_neg(3)
+        one = {v: frozenset({v}) for v in (1, 2, 3)}
+        cycle = [(one[1], one[2]), (one[2], one[3]), (one[3], one[1])]
+        fork = [(one[2], one[1]), (one[2], one[3])]  # two outgoing sets at a negative 2
+        for arcs in (cycle, fork):
+            spine = Spine.make(one.values(), arcs)
+            with pytest.raises(InvalidSpine):
+                vertex_point(tree, spine)
+
+    def test_invalid_one_arc_mutations_raise_on_corpus(self):
+        from test_spines import one_arc_mutations
+
+        invalid = 0
+        for tree in catalog.corpus(4, include_named=False):
+            for base in enumerate_maximal_spines(tree):
+                for spine in one_arc_mutations(base):
+                    if validate_spine(tree, spine):
+                        assert vertex_point(tree, spine) == side_set_vertex_point(
+                            tree, spine
+                        )
+                        continue
+                    invalid += 1
+                    with pytest.raises(InvalidSpine):
+                        vertex_point(tree, spine)
+        assert invalid > 0
+
     def test_perm_point(self):
         assert perm_point((1, 2, 3, 4)) == {1: 1, 2: 2, 3: 3, 4: 4}
         assert perm_point((4, 3, 2, 1)) == {4: 1, 3: 2, 2: 3, 1: 4}
@@ -190,13 +222,13 @@ class TestRealization:
         from arbora import geometry
 
         calls = []
-        real = geometry.vertex_point
+        real = geometry._point
 
-        def counted(tree, spine):
-            calls.append(spine)
-            return real(tree, spine)
+        def counted(tree, arcs):
+            calls.append(arcs)
+            return real(tree, arcs)
 
-        monkeypatch.setattr(geometry, "vertex_point", counted)
+        monkeypatch.setattr(geometry, "_point", counted)
         description = realize_polytope(htree_eq)
         assert description.certificate
         assert len(description.vertices) == 214
@@ -210,13 +242,13 @@ class TestRealization:
     def test_reports_every_failure_kind(self, htree_eq, monkeypatch):
         from arbora import geometry
 
-        real = geometry.vertex_point
+        real = geometry._point
 
-        def shifted(tree, spine):
+        def shifted(tree, arcs):
             # every coordinate one too high: each total and each tight block fails
-            return {v: value + 1 for v, value in real(tree, spine).items()}
+            return {v: value + 1 for v, value in real(tree, arcs).items()}
 
-        monkeypatch.setattr(geometry, "vertex_point", shifted)
+        monkeypatch.setattr(geometry, "_point", shifted)
         certificate = verify_realization(htree_eq)
         first = enumerate_maximal_spines(htree_eq)[0]
         first_tight = next(

@@ -170,7 +170,7 @@ def oracle_flip_graph(tree):
     )
     index = {s.key(): i for i, s in enumerate(spines)}
     neighbors = tuple(tuple(index[k] for k in flips[s.key()]) for s in spines)
-    return FlipGraph(spines, neighbors)
+    return FlipGraph(spines, neighbors, tuple(mask_arcs(tree, s) for s in spines))
 
 
 def assert_flips_agree(tree):
@@ -321,11 +321,13 @@ class TestSideSets:
         assert_side_sets_agree(tree)
 
     def test_forest_sides_stay_in_their_component(self):
+        # a forest has no side sets; validate_spine refuses it before asking
         spine = Spine.make(
             [frozenset({1}), frozenset({2, 3}), frozenset({4}), frozenset({5})],
             [(frozenset({1}), frozenset({2, 3})), (frozenset({5}), frozenset({4}))],
         )
-        assert spine._side_sets == bfs_side_sets(spine)
+        with pytest.raises(InvalidSpine):
+            spine.key()
 
 
 class TestValidation:
@@ -662,6 +664,26 @@ class TestFlipGraph:
         assert cli.main(["flipgraph", str(path), "--dot"]) == 0
         capsys.readouterr()
         assert calls == []
+
+    def test_consumers_read_the_mask_arcs(self):
+        from arbora import complexes, fans, geometry, weak_order
+
+        ids = [f"masks{i}" for i in range(5)]
+        edges = [(ids[0], ids[1]), (ids[0], ids[2]), (ids[2], ids[3]), (ids[3], ids[4])]
+        tree = build_tree(list(zip(ids, "-+-+-")), edges)
+        base = tuple(sorted(tree.standard))
+        assert geometry.realize_polytope(tree).certificate
+        assert geometry.verify_realization(tree)
+        assert fans.fan_cover_check(tree).passed
+        complexes.complex_stats(tree)
+        weak_order.h_vector(tree, base)
+        weak_order.increasing_flip_digraph(tree, base)
+        geometry.singleton_count_recursive(tree)
+        geometry.barycenter(tree)
+        spines = flip_graph(tree).spines
+        assert len(spines) > 1
+        for spine in spines:
+            assert "_side_sets" not in vars(spine) and "_incident" not in vars(spine)
 
     def test_flip_disagreeing_with_stored_spine_raises(self, monkeypatch):
         from arbora import spines

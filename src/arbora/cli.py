@@ -23,8 +23,8 @@ from .trees import SignedTree, build_tree, check_bound, signature_classes, tree_
 ALL_ORDERS_MAX_NU = 6
 
 # `flipgraph`, `complex` and `singletons` hold every maximal spine: on a
-# 9-vertex star (109 601 spines) they peak at 400-941 MiB, and a 10-vertex
-# star has nine times as many spines, so about 3.5-8.3 GiB.
+# 9-vertex star (109 601 spines) they peak at 318-704 MiB, and a 10-vertex
+# star has nine times as many spines, so about 2.8-6.2 GiB.
 SPINES_MAX_NU = 9
 
 # `kappa` reads `SignedTree.path_masks`, the one separation table of the

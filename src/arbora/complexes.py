@@ -3,10 +3,11 @@
 Faces are pairwise-compatible sets of relevant blocks.  Facets are taken
 from the flip graph of maximal spines (connected, output-linear) rather
 than from a clique search, as the source masks of its mask arcs; the
-clique route stays available in the tests as an independent oracle.  Internally a face is an `int` mask over the
-relevant blocks and the faces of a facet are its submasks; frozensets are
-built only for the faces returned, in canonical order: by the sorted tuple
-of their blocks' sorted members.
+clique route stays available in the tests as an independent oracle.
+Internally a face is an `int` mask over the relevant blocks and the faces
+of a facet are its submasks; frozensets are built only for the faces
+returned, in canonical order: by the sorted tuple of their blocks' sorted
+members.
 """
 
 from __future__ import annotations

@@ -126,8 +126,10 @@ def verify_realization(tree: SignedTree) -> RealizationCertificate:
 
 def _certify(tree: SignedTree, points: list) -> RealizationCertificate:
     """`verify_realization` on the points of the flip graph's spines, in order."""
-    nu, graph, failures = tree.nu, flip_graph(tree), []
+    nu = tree.nu
     blocks = [(b, _mask(tree, b), comb(len(b) + 1, 2)) for b in enumerate_blocks(tree)]
+    graph = flip_graph(tree)
+    failures = []
     for spine, arcs, point, targets in zip(
         graph.spines, graph.arcs, points, graph.neighbors
     ):
@@ -317,12 +319,12 @@ def _phantomize_vertex(tree: SignedTree, vertex) -> SignedTree:
 def barycenter(tree: SignedTree) -> dict:
     """Exact vertex barycenter of the realization, under the polytope's bound."""
     check_bound(tree, MAX_NU)
-    spines = flip_graph(tree).arcs
+    spine_arcs = flip_graph(tree).arcs
     totals = {v: Fraction(0) for v in tree.standard}
-    for arcs in spines:
+    for arcs in spine_arcs:
         for v, value in _point(tree, arcs).items():
             totals[v] += value
-    return {v: total / len(spines) for v, total in totals.items()}
+    return {v: total / len(spine_arcs) for v, total in totals.items()}
 
 
 def isometric(tree_a: SignedTree, tree_b: SignedTree) -> bool:

@@ -2,7 +2,9 @@
 """Sweep the small-tree corpus: for every signature of every shape, verify
 the realization certificate, the fan certificate, the pseudo-manifold
 check, the fiber partition, the singleton recursion, and the coefficient
-oracle.  Prints one summary line per shape."""
+oracle, and run the congruence diagnostics on the sorted base.  Prints one
+summary line per shape, with the number of signatures whose fibers form an
+order congruence of that base."""
 
 import argparse
 import sys
@@ -17,6 +19,7 @@ from arbora.fans import fan_cover_check, fiber
 from arbora.geometry import singleton_count_recursive, verify_realization
 from arbora.minkowski import minkowski_coefficients
 from arbora.spines import enumerate_maximal_spines
+from arbora.weak_order import congruence_diagnostics
 
 
 def main():
@@ -29,6 +32,7 @@ def main():
             signatures = 0
             facet_counts = set()
             singleton_counts = set()
+            congruences = 0
             for tree in all_signatures(edges, n):
                 assert verify_realization(tree)
                 fan_cover_check(tree, max_nu=args.max_nu)
@@ -38,12 +42,16 @@ def main():
                 assert sum(len(fiber(tree, s)) for s in spines) == factorial(n)
                 singleton_counts.add(singleton_count_recursive(tree))
                 minkowski_coefficients(tree, max_nu=args.max_nu, check=True)
+                base = tuple(sorted(tree.standard))
+                report = congruence_diagnostics(tree, base, max_nu=args.max_nu)
+                congruences += report.is_order_congruence
                 facet_counts.add(len(spines))
                 signatures += 1
             shape = ",".join(f"{u}-{v}" for u, v in edges) or "point"
             print(
                 f"nu={n} shape [{shape}]: {signatures} signatures OK, "
-                f"facets {sorted(facet_counts)}, singletons {sorted(singleton_counts)}"
+                f"facets {sorted(facet_counts)}, "
+                f"singletons {sorted(singleton_counts)}, congruences {congruences}"
             )
 
 

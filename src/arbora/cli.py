@@ -19,7 +19,8 @@ from .trees import SignedTree, build_tree, check_bound, signature_classes, tree_
 
 
 # `congruence-check --all-orders` diagnoses nu! bases over nu! orders each:
-# about 10 s (path) to 33 s (star) at nu = 6 on 2 cores, well over 7x that at 7.
+# about 4 s (path) to 6 s (star) at nu = 6 on 2 cores.  At nu = 7 one base
+# took 0.03 s (path) to 0.07 s (star), so the 5 040 bases need 2 to 6 min.
 ALL_ORDERS_MAX_NU = 6
 
 # `flipgraph`, `complex` and `singletons` hold every maximal spine: on a

@@ -13,9 +13,14 @@ pair case of `blocks.held_together`, read from the one separation table
 that blocks and spines read too.  `adjacent_congruent` asks the same.
 A positive vertex receives one arc, a negative one at most one per tree
 neighbour.  `fan_cover_check` certifies that the spine cones tile the braid
-fan in integers only: each cone is simplicial when one fraction-free
-(Bareiss) determinant of its 0/1 rays, the sink masks of the flip graph's
-mask arcs, and the all-ones row is nonzero.
+fan in integers only.  The wall between two flip-adjacent cones is read
+off per-fiber masks of the vertices that come before a vertex in every
+order of the fiber (`_always_before`).  Each cone is simplicial when the
+determinant of its 0/1 rays, the sink masks of the flip graph's mask arcs,
+and the all-ones row is nonzero: an odd determinant, found by elimination
+over GF(2) on the row masks (`_odd_determinant`), settles it, and the
+fraction-free (Bareiss) integer determinant is asked only when the rows
+are dependent mod 2.
 """
 
 from __future__ import annotations
@@ -234,30 +239,36 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
     if order_count != factorial(tree.nu):
         failures.append(("fiber-sizes", order_count))
 
-    # (b) walls separate flip-adjacent cones
-    for fib, arcs, targets in zip(fibers, graph.arcs, graph.neighbors):
+    # (b) walls separate flip-adjacent cones: u precedes v in every order of
+    # the cone of an arc u -> v, and follows it in every order of its flip;
+    # the orders are scanned only for the failures
+    index, full = tree.standard_index, (1 << tree.nu) - 1
+    before = [_always_before(tree, fib) for fib in fibers]
+    for i, (fib, arcs, targets) in enumerate(zip(fibers, graph.arcs, graph.neighbors)):
         for (u, v, _), j in zip(arcs, targets):
-            for order in fib:
-                if order.index(u) > order.index(v):
-                    failures.append(("wall-side", (u, v, order)))
-            for order in fibers[j]:
-                if order.index(v) > order.index(u):
-                    failures.append(("wall-side-neighbor", (u, v, order)))
+            if not before[i][index[v]] >> index[u] & 1:
+                for order in fib:
+                    if order.index(u) > order.index(v):
+                        failures.append(("wall-side", (u, v, order)))
+            if not before[j][index[u]] >> index[v] & 1:
+                for order in fibers[j]:
+                    if order.index(v) > order.index(u):
+                        failures.append(("wall-side-neighbor", (u, v, order)))
 
     # (c) simplicial cones: rays independent modulo the all-ones line
-    index, full = tree.standard_index, (1 << tree.nu) - 1
     for s, arcs in zip(spines, graph.arcs):
-        rays = []
-        for *_, mask in arcs:
-            sink = full ^ mask
-            rays.append([sink >> i & 1 for i in range(tree.nu)])
-            for tu, th, _ in arcs:
-                if sink >> index[tu] & 1 and not sink >> index[th] & 1:
+        ends = [(1 << index[tu], 1 << index[th], tu, th) for tu, th, _ in arcs]
+        sinks = [full ^ mask for *_, mask in arcs]
+        for sink in sinks:
+            for bit_t, bit_h, tu, th in ends:
+                if sink & bit_t and not sink & bit_h:
                     members = sorted(v for v in index if sink >> index[v] & 1)
                     failures.append(("ray-violates-arc", (members, tu, th)))
         if len(arcs) != tree.nu - 1:
             failures.append(("arc-count", s.key()))
-        elif _determinant(rays + [[1] * tree.nu]) == 0:
+        elif not _odd_determinant(sinks + [full]) and _determinant(
+            [[sink >> i & 1 for i in range(tree.nu)] for sink in sinks + [full]]
+        ) == 0:
             failures.append(("rays-dependent", sorted(map(sorted, s.key()))))
 
     if failures:
@@ -267,6 +278,45 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
         )
         raise VerificationFailure(f"fan check failed: {summary}")
     return FanCertificate(True, len(spines), order_count)
+
+
+def _always_before(tree: SignedTree, orders: tuple) -> list:
+    """Per standard vertex, the vertices before it in every one of the orders.
+
+    Bit i stands for the vertex of `standard_index` i; with no order, every
+    bit is set.
+    """
+    index = tree.standard_index
+    before = [(1 << tree.nu) - 1] * tree.nu
+    for order in orders:
+        prefix = 0
+        for v in order:
+            i = index[v]
+            before[i] &= prefix
+            prefix |= 1 << i
+    return before
+
+
+def _odd_determinant(rows: list) -> bool:
+    """Whether the square 0/1 matrix of the row masks has an odd determinant.
+
+    Gaussian elimination over GF(2), with the pivot rows keyed by their
+    leading bit: the rows are independent mod 2 exactly when the integer
+    determinant is odd, and so nonzero.  False says nothing about the
+    integer determinant.
+    """
+    pivots = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            row ^= pivot
+        else:
+            return False
+    return True
 
 
 def _determinant(rows: list) -> int:

@@ -5,10 +5,11 @@ inside the parallelepiped spanned by its parallel facets.  Vertices of the
 middle polytope are integer points counting paths in maximal spines, read
 off the sizes of the flip graph's source masks (`_point`); facets are the
 half-spaces of the building blocks, tight at a vertex when the block is
-one of its source masks.  Everything here is exact: integers for
-coordinates and right-hand sides, rationals for barycenters.  The
-parallelepiped functions need every vertex signed, so they refuse a
-phantom tree.
+one of its source masks.  The certificate reads each block's value from a
+table of the vertex's subset sums, indexed by mask.  Everything here is
+exact: integers for coordinates and right-hand sides, rationals for
+barycenters.  The parallelepiped functions need every vertex signed, so
+they refuse a phantom tree.
 """
 
 from __future__ import annotations
@@ -126,30 +127,33 @@ def verify_realization(tree: SignedTree) -> RealizationCertificate:
 
 def _certify(tree: SignedTree, points: list) -> RealizationCertificate:
     """`verify_realization` on the points of the flip graph's spines, in order."""
-    nu = tree.nu
+    nu, index = tree.nu, tree.standard_index
     blocks = [(b, _mask(tree, b), comb(len(b) + 1, 2)) for b in enumerate_blocks(tree)]
     graph = flip_graph(tree)
+    coords = [[point[v] for v in tree.standard] for point in points]
     failures = []
     for spine, arcs, point, targets in zip(
-        graph.spines, graph.arcs, points, graph.neighbors
+        graph.spines, graph.arcs, coords, graph.neighbors
     ):
-        if sum(point.values()) != comb(nu + 1, 2):
+        if sum(point) != comb(nu + 1, 2):
             failures.append(("total", spine.key()))
+        sums = [0]  # sums[mask]: the coordinate sum over a mask, by doubling
+        for value in point:
+            sums += [total + value for total in sums]
         nested = {mask for *_, mask in arcs}  # tight blocks: the source masks
         for block, mask, bound in blocks:
-            value = sum(point[v] for v in block)
             if mask in nested:
-                if value != bound:
+                if sums[mask] != bound:
                     failures.append(("tight", sorted(block)))
-            elif value <= bound:
+            elif sums[mask] <= bound:
                 failures.append(("strict", sorted(block)))
         for (u, v, _), j in zip(arcs, targets):
-            other = points[j]
-            delta = {w: other[w] - point[w] for w in point}
-            lam = delta[u]
-            if lam <= 0 or delta[v] != -lam:
+            delta = [b - a for a, b in zip(point, coords[j])]
+            iu, iv = index[u], index[v]
+            lam = delta[iu]
+            if lam <= 0 or delta[iv] != -lam:
                 failures.append(("flip", (u, v)))
-            elif any(delta[w] != 0 for w in delta if w not in (u, v)):
+            elif len(delta) - delta.count(0) > 2:  # moves off u and v too
                 failures.append(("flip-support", (u, v)))
     if failures:
         return RealizationCertificate(False, failures[0], failure_summary(failures))

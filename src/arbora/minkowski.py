@@ -5,7 +5,11 @@ its two-level spine; Moebius inversion of z gives the coefficients y of the
 decomposition of the polytope into dilated faces of the standard simplex.
 The closed form for y is supported on negative paths; the runtime check
 compares it with the Moebius inversion of the same z, and the Moebius oracle
-recomputes z from scratch as the ground truth.
+recomputes z from scratch as the ground truth.  `minkowski_coefficients`
+holds z as one table indexed by subset mask, read off one sweep per subset
+with no spine built (`_tight_table`), and inverts it by the subset transform
+(`_moebius_table`); `tight_rhs` and `_moebius`, on frozensets, are their
+oracles.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from math import comb
 from typing import Iterable
 
 from .errors import InvalidPath, InversionMismatch
-from .fans import kappa_extended
-from .spines import Spine, one_node_spine
+from .fans import _sweep, kappa_extended
+from .spines import Spine, _source_masks, one_node_spine
 from .trees import SignedTree, check_bound, check_standard, subset_key
 
 
@@ -58,6 +62,34 @@ def tight_rhs(tree: SignedTree, subset: Iterable) -> int:
         for node in _source_nodes(spine, subset)
     )
     return total - comb(nu + 1, 2) * degree_excess
+
+
+def _tight_table(tree: SignedTree) -> list:
+    """`tight_rhs` of every subset, indexed by mask (bit i for standard[i]).
+
+    Sweeping S first and then the rest gives the maximal spine that
+    contracts to the two-level spine of S: its arcs from S to the rest are
+    the two-level arcs, with the same source masks, and its arcs inside S
+    join the vertices of S into the source nodes.  Each source node of the
+    two-level spine touches the cross arcs at it, so the degree excess
+    over the source nodes is #cross - (|S| - #arcs inside S).
+    """
+    nu, standard, index = tree.nu, tree.standard, tree.standard_index
+    table = [0] * (1 << nu)
+    for mask in range(1, 1 << nu):
+        order = [v for i, v in enumerate(standard) if mask >> i & 1]
+        order += [v for i, v in enumerate(standard) if not mask >> i & 1]
+        pairs = _sweep(tree, tuple(order))
+        total, cross, inside = 0, 0, 0
+        for (tail, head), source in zip(pairs, _source_masks(standard, pairs)):
+            if mask >> index[head] & 1:  # the tail is swept earlier: inside S
+                inside += 1
+            elif mask >> index[tail] & 1:
+                cross += 1
+                total += comb(source.bit_count() + 1, 2)
+        excess = cross - mask.bit_count() + inside
+        table[mask] = total - comb(nu + 1, 2) * excess
+    return table
 
 
 @dataclass(frozen=True)
@@ -164,12 +196,14 @@ def minkowski_coefficients(
     check_standard(tree, "the closed form")
     check_bound(tree, max_nu)
     nu = tree.nu
-    vertices = sorted(tree.standard)
+    vertices = tree.standard
+    subsets = [  # (subset, mask) pairs, bit i for vertices[i]
+        (frozenset(vertices[i] for i in combo), sum(1 << i for i in combo))
+        for r in range(1, nu + 1)
+        for combo in combinations(range(nu), r)
+    ]
 
-    y = {}
-    for r in range(1, nu + 1):
-        for combo in combinations(vertices, r):
-            y[frozenset(combo)] = 0
+    y = {subset: 0 for subset, _ in subsets}
     for path in negative_paths(tree):
         weight = path_weight(tree, path)
         if len(path.members) == 1:
@@ -182,15 +216,16 @@ def minkowski_coefficients(
             )
         y[path.members] = int(weight)
 
-    z = {subset: tight_rhs(tree, subset) for subset in y}
+    table = _tight_table(tree)
+    z = {subset: table[mask] for subset, mask in subsets}
 
     if check:
-        oracle = _moebius(z)
-        for subset, value in y.items():
-            if oracle[subset] != value:
+        oracle = _moebius_table(table)
+        for subset, mask in subsets:
+            if oracle[mask] != y[subset]:
                 raise InversionMismatch(
-                    f"closed form gives {value} but Moebius inversion "
-                    f"{oracle[subset]} on {sorted(subset)}"
+                    f"closed form gives {y[subset]} but Moebius inversion "
+                    f"{oracle[mask]} on {sorted(subset)}"
                 )
 
     return CoefficientTable(
@@ -210,6 +245,22 @@ def moebius_oracle(tree: SignedTree, max_nu: int = 7) -> tuple:
         for combo in combinations(vertices, r)
     }
     return tuple(sorted(_moebius(z).items(), key=lambda kv: subset_key(kv[0])))
+
+
+def _moebius_table(z: list) -> list:
+    """`_moebius` of a table indexed by mask, with z[0] = 0, for every mask at once.
+
+    The in-place subset transform: for each bit in turn, every mask that
+    holds the bit subtracts the value of the mask without it.
+    """
+    y = list(z)
+    bit = 1
+    while bit < len(y):
+        for mask in range(len(y)):
+            if mask & bit:
+                y[mask] -= y[mask ^ bit]
+        bit <<= 1
+    return y
 
 
 def _moebius(z: dict) -> dict:

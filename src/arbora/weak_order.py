@@ -4,7 +4,9 @@ Fixing a base order turns the flip graph into a DAG (orient each flip by
 the base positions of the exchanged arc endpoints).  The same data gives
 the h-vector by counting ordered arcs per maximal spine, and the fiber
 diagnostics that show when the sweep fibers fail to quotient the weak
-order.
+order.  A fiber is a weak-order interval when it holds every order between
+its minimum and maximum; those orders are counted by a DP over down-sets
+(`_interval_size`), not listed.
 """
 
 from __future__ import annotations
@@ -137,6 +139,36 @@ class FiberReport:
         )
 
 
+def _interval_size(low: tuple, high: tuple) -> int:
+    """The number of orders in the weak-order interval [low, high], low <= high.
+
+    They are the orders that agree with low on every pair where low and
+    high agree: the linear extensions of the intersection of two linear
+    orders.  Counting linear extensions is #P-complete even in dimension two
+    (Dittmer-Pak), so they are counted by a DP over down-sets, at most
+    2^nu * nu steps: `ways` maps each down-set of one size, vertex i of low
+    as bit i, to the number of orders of it as a prefix.
+    """
+    at = {v: i for i, v in enumerate(high)}
+    below = []  # per vertex of low, the earlier vertices of low that high keeps earlier
+    for j, v in enumerate(low):
+        mask = 0
+        for i in range(j):
+            if at[low[i]] < at[v]:
+                mask |= 1 << i
+        below.append(mask)
+    ways = {0: 1}
+    for _ in low:
+        grown = {}
+        for down, count in ways.items():
+            for i, need in enumerate(below):
+                bit = 1 << i
+                if not down & bit and need & down == need:
+                    grown[down | bit] = grown.get(down | bit, 0) + count
+        ways = grown
+    return ways[(1 << len(low)) - 1]
+
+
 def congruence_diagnostics(
     tree: SignedTree,
     base: Iterable,
@@ -187,10 +219,7 @@ def congruence_diagnostics(
         else:
             fiber_min[idx] = bottom[0]
             fiber_max[idx] = top[0]
-            members = sum(
-                1 for o in all_orders if meet | masks[o] == masks[o] and masks[o] | join == join
-            )
-            if members != len(fib):
+            if _interval_size(bottom[0], top[0]) != len(fib):
                 interval_failures.append((idx, "misses interior orders"))
         if interval_failures and first_witness_only:
             return FiberReport(tuple(interval_failures), None, None)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
@@ -10,7 +11,9 @@ from arbora import blocks, catalog, fans
 from arbora.blocks import held_together, open_components
 from arbora.errors import InvalidOrder, NotAdjacent, VerificationFailure
 from arbora.fans import (
+    _always_before,
     _determinant,
+    _odd_determinant,
     adjacent_congruent,
     fan_cover_check,
     fiber,
@@ -422,6 +425,7 @@ class TestFanCoverage:
             assert certificate.order_count == factorial(tree.nu)
 
     def test_reports_every_dependent_cone(self, htree_eq, monkeypatch):
+        monkeypatch.setattr(fans, "_odd_determinant", lambda rows: False)
         monkeypatch.setattr(fans, "_determinant", lambda rows: 0)
         with pytest.raises(VerificationFailure) as failure:
             fan_cover_check(htree_eq)
@@ -443,6 +447,54 @@ class TestFanCoverage:
             f"fan check failed: order-outside-its-fiber x{len(outside)}, "
             f"first {outside[0]}"
         )
+
+    def test_reports_every_wall_side(self, htree_eq, monkeypatch):
+        # the first cone's fiber also holds the reverse of its one order: it
+        # breaks every arc of that cone and of each flip into it
+        first = flip_graph(htree_eq).spines[0]
+        (order,) = fiber(htree_eq, first)
+        reverse = order[::-1]
+        real = fans.fiber
+
+        def widened(tree, spine):
+            orders = real(tree, spine)
+            return orders + (reverse,) if spine == first else orders
+
+        monkeypatch.setattr(fans, "fiber", widened)
+        with pytest.raises(VerificationFailure) as failure:
+            fan_cover_check(htree_eq)
+        assert reverse == (6, 5, 4, 2, 1, 3)
+        assert str(failure.value) == (
+            f"fan check failed: duplicate-order x1, first {reverse}; "
+            "fiber-sizes x1, first 721; "
+            f"wall-side x5, first (1, 2, {reverse}); "
+            f"wall-side-neighbor x5, first (5, 4, {reverse})"
+        )
+
+
+def wall_scan(orders, u, v) -> bool:
+    """Oracle: u comes before v in every order, one `tuple.index` pair per order."""
+    return all(order.index(u) < order.index(v) for order in orders)
+
+
+class TestAlwaysBefore:
+    def assert_agrees_with_wall_scan(self, tree, orders):
+        before = _always_before(tree, orders)
+        index = tree.standard_index
+        for u, v in product(tree.standard, repeat=2):
+            assert bool(before[index[v]] >> index[u] & 1) == wall_scan(orders, u, v)
+
+    def test_fibers_of_corpus(self):
+        for tree in catalog.corpus(max_nu=5, include_named=False):
+            for spine in enumerate_maximal_spines(tree):
+                self.assert_agrees_with_wall_scan(tree, fiber(tree, spine))
+
+    @given(signed_trees(max_nu=5), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_any_set_of_orders(self, tree, data):
+        every = list(permutations(tree.standard))
+        orders = tuple(data.draw(st.lists(st.sampled_from(every), max_size=6)))
+        self.assert_agrees_with_wall_scan(tree, orders)
 
 
 def _rank_mod_ones(rays) -> int:
@@ -504,6 +556,8 @@ class TestDeterminant:
                 det = _determinant(rays + [[1] * tree.nu])
                 assert (det != 0) == (_rank_mod_ones(rays) == len(rays))
                 assert abs(det) == 1, (tree, spine)
+                masks = [sum(b << i for i, b in enumerate(ray)) for ray in rays]
+                assert _odd_determinant(masks + [(1 << tree.nu) - 1])
                 checked += 1
         assert checked > 6000
 
@@ -526,6 +580,31 @@ class TestDeterminant:
 
     def test_empty_matrix(self):
         assert _determinant([]) == 1
+        assert _odd_determinant([])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_odd_determinant_is_bareiss_parity(self, seed):
+        # random 0/1 matrices, and dependent ones: a repeated row, a zero row,
+        # a row that is the sum of two disjoint rows, a row that is the sum
+        # of two rows mod 2 only
+        rng = random.Random(seed)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+            if n >= 3:
+                kind = rng.randrange(5)
+                a, b, c = rng.sample(range(n), 3)
+                if kind == 1:
+                    rows[c] = list(rows[a])
+                elif kind == 2:
+                    rows[c] = [0] * n
+                elif kind == 3:
+                    rows[b] = [x & ~y & 1 for x, y in zip(rows[b], rows[a])]
+                    rows[c] = [x | y for x, y in zip(rows[a], rows[b])]
+                elif kind == 4:
+                    rows[c] = [x ^ y for x, y in zip(rows[a], rows[b])]
+            masks = [sum(bit << i for i, bit in enumerate(row)) for row in rows]
+            assert _odd_determinant(masks) == (_determinant(rows) % 2 == 1), rows
 
     @given(
         st.integers(1, 4).flatmap(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from arbora import catalog
 from arbora.blocks import enumerate_blocks
 from arbora.catalog import path_neg
-from arbora.errors import InvalidSpine, NotMaximal, PreconditionViolated
+from arbora.errors import InvalidSpine, NotMaximal, PreconditionViolated, failure_summary
 from arbora.fans import fiber, kappa
 from arbora.geometry import (
     barycenter,
@@ -22,6 +22,7 @@ from arbora.geometry import (
     singleton_spines,
     vertex_point,
     verify_realization,
+    _certify,
     _point,
 )
 from arbora.spines import (
@@ -279,6 +280,59 @@ class TestRealization:
             point = vertex_point(tree, spine)
             for subset, rhs in para.items():
                 assert sum(point[v] for v in subset) >= rhs
+
+
+def certify_by_block_sums(tree, points):
+    """Oracle for `_certify`: each block summed over its members, each flip
+    compared on coordinate dicts."""
+    graph = flip_graph(tree)
+    failures = []
+    for spine, point, targets in zip(graph.spines, points, graph.neighbors):
+        if sum(point.values()) != comb(tree.nu + 1, 2):
+            failures.append(("total", spine.key()))
+        nested = spine.key()
+        for block in enumerate_blocks(tree):
+            value, bound = sum(point[v] for v in block), comb(len(block) + 1, 2)
+            if block in nested:
+                if value != bound:
+                    failures.append(("tight", sorted(block)))
+            elif value <= bound:
+                failures.append(("strict", sorted(block)))
+        for ((u,), (v,)), j in zip(spine.arcs, targets):
+            delta = {w: points[j][w] - point[w] for w in point}
+            lam = delta[u]
+            if lam <= 0 or delta[v] != -lam:
+                failures.append(("flip", (u, v)))
+            elif any(delta[w] != 0 for w in delta if w not in (u, v)):
+                failures.append(("flip-support", (u, v)))
+    return (failures[0], failure_summary(failures)) if failures else (None, ())
+
+
+class TestCertifyOracle:
+    TREES = [*catalog.corpus(max_nu=5, include_named=False), catalog.htree_eq()]
+
+    @staticmethod
+    def assert_agrees(tree, points):
+        certificate = _certify(tree, points)
+        witness, failures = certify_by_block_sums(tree, points)
+        assert (certificate.passed, certificate.witness) == (not failures, witness)
+        assert certificate.failures == failures
+
+    def test_true_points(self):
+        for tree in self.TREES:
+            self.assert_agrees(tree, [_point(tree, a) for a in flip_graph(tree).arcs])
+
+    def test_perturbed_points(self):
+        # each vertex moves one coordinate by -1, 0 or 1, so that every
+        # failure kind is reached somewhere
+        kinds = set()
+        for tree in self.TREES:
+            points = [_point(tree, a) for a in flip_graph(tree).arcs]
+            for k, point in enumerate(points):
+                point[tree.standard[k % tree.nu]] += k % 3 - 1
+            self.assert_agrees(tree, points)
+            kinds.update(kind for kind, *_ in _certify(tree, points).failures)
+        assert kinds == {"flip", "flip-support", "strict", "tight", "total"}
 
 
 class TestParallelFacets:

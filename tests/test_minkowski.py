@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from arbora.blocks import enumerate_blocks
 from arbora.errors import BoundExceeded, InversionMismatch, PreconditionViolated
 from arbora.geometry import vertex_point
-from arbora.catalog import corpus
+from arbora.catalog import corpus, htree_diff, htree_eq
 from arbora.minkowski import (
     NegativePath,
     _moebius,
+    _moebius_table,
+    _tight_table,
     minkowski_coefficients,
     moebius_oracle,
     negative_paths,
@@ -287,3 +290,39 @@ class TestCoefficients:
         for subset, z_value in table.z:
             assert z_value == sum(v for s, v in y.items() if s <= subset)
         assert table.z_of(tree.standard_set) == comb(tree.nu + 1, 2)
+
+
+def subsets_by_mask(tree):
+    """(mask, subset) pairs over the nonempty subsets, bit i for standard[i]."""
+    return [
+        (mask, frozenset(v for i, v in enumerate(tree.standard) if mask >> i & 1))
+        for mask in range(1, 1 << tree.nu)
+    ]
+
+
+class TestTables:
+    TREES = [*corpus(max_nu=5, include_named=False), htree_eq(), htree_diff()]
+
+    def test_tight_table_equals_tight_rhs(self):
+        for tree in self.TREES:
+            table = _tight_table(tree)
+            assert table[0] == 0
+            for mask, subset in subsets_by_mask(tree):
+                assert table[mask] == tight_rhs(tree, subset), (tree, subset)
+
+    def test_moebius_table_equals_moebius(self):
+        rng = random.Random(7)
+        tables = [_tight_table(tree) for tree in self.TREES[::7]]
+        for n in range(1, 7):
+            tables.append([0] + [rng.randint(-9, 9) for _ in range(2**n - 1)])
+        for table in tables:
+            nu = len(table).bit_length() - 1
+            z = {
+                frozenset(i for i in range(nu) if mask >> i & 1): table[mask]
+                for mask in range(1, len(table))
+            }
+            oracle = _moebius(z)
+            assert _moebius_table(table)[1:] == [
+                oracle[frozenset(i for i in range(nu) if mask >> i & 1)]
+                for mask in range(1, len(table))
+            ]

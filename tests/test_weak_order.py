@@ -3,11 +3,15 @@ from math import comb
 
 from hypothesis import given, settings
 
+from arbora import catalog, weak_order
 from arbora.complexes import complex_stats
-from arbora.fans import kappa
+from arbora.fans import fiber, kappa
 from arbora.geometry import vertex_point
+from arbora.spines import enumerate_maximal_spines
 from arbora.weak_order import (
     Comparison,
+    FiberReport,
+    _interval_size,
     congruence_diagnostics,
     h_vector,
     increasing_flip_digraph,
@@ -131,3 +135,60 @@ class TestCongruenceDiagnostics:
             spider7, (1, 2, 3, 4, 5, 6, 7), first_witness_only=True
         )
         assert report.interval_failures
+
+    def test_reports_misses_interior_orders(self, htree_eq, monkeypatch):
+        # the largest fiber, checked first, loses an order between its extremes
+        spines = enumerate_maximal_spines(htree_eq)
+        largest = max(spines, key=lambda s: len(fiber(htree_eq, s)))
+        real = weak_order.fiber
+
+        def thinned(tree, spine):
+            orders = real(tree, spine)
+            return orders[:1] + orders[2:] if spine == largest else orders
+
+        monkeypatch.setattr(weak_order, "fiber", thinned)
+        base = (1, 2, 3, 4, 5, 6)
+        report = congruence_diagnostics(htree_eq, base, first_witness_only=True)
+        assert len(real(htree_eq, largest)) == 40
+        assert report == FiberReport(((39, "misses interior orders"),), None, None)
+
+
+def scan_interval_size(low, high, inversions) -> int:
+    """Oracle: the orders o with inv(low) <= inv(o) <= inv(high), among all
+    orders; `inversions` maps every order to its inversion set."""
+    return sum(
+        inversions[low] <= inv <= inversions[high] for inv in inversions.values()
+    )
+
+
+def all_inversion_sets(vertices) -> dict:
+    base = sorted(vertices)
+    return {o: inversion_set(base, o) for o in permutations(base)}
+
+
+class TestIntervalSize:
+    def test_every_pair_of_four_vertex_orders(self):
+        inversions = all_inversion_sets(range(4))
+        for low in inversions:
+            for high in inversions:
+                if inversions[low] <= inversions[high]:
+                    size = scan_interval_size(low, high, inversions)
+                    assert _interval_size(low, high) == size
+
+    def test_equals_all_orders_scan_on_every_fiber(self):
+        trees = list(catalog.corpus(max_nu=5, include_named=False))
+        trees += [catalog.htree_eq(), catalog.htree_diff()]
+        checked = 0
+        for tree in trees:
+            inversions = all_inversion_sets(tree.standard)
+            for spine in enumerate_maximal_spines(tree):
+                orders = fiber(tree, spine)
+                meet = frozenset.intersection(*(inversions[o] for o in orders))
+                join = frozenset.union(*(inversions[o] for o in orders))
+                low = [o for o in orders if inversions[o] == meet]
+                high = [o for o in orders if inversions[o] == join]
+                if low and high:
+                    size = scan_interval_size(low[0], high[0], inversions)
+                    assert _interval_size(low[0], high[0]) == size
+                    checked += 1
+        assert checked > 5000

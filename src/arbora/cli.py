@@ -119,7 +119,6 @@ def cmd_flipgraph(args) -> int:
     tree = _load_tree(args.tree)
     check_bound(tree, SPINES_MAX_NU)
     graph = flip_graph(tree)
-    spines = graph.spines
     edges = {
         (min(i, j), max(i, j))
         for i, targets in enumerate(graph.neighbors)
@@ -127,13 +126,11 @@ def cmd_flipgraph(args) -> int:
     }
     if args.dot:
         lines = ["graph flips {"]
-        for i, spine in enumerate(spines):
-            label = "|".join(
-                ",".join(str(v) for v in source)
-                for source in sorted(
-                    (sorted(s) for s in spine.key()), key=lambda s: (len(s), s)
-                )
-            )
+        members = list(enumerate(tree.standard))
+        for i, arcs in enumerate(graph.arcs):
+            sources = [[v for k, v in members if mask >> k & 1] for *_, mask in arcs]
+            sources.sort(key=lambda s: (len(s), s))
+            label = "|".join(",".join(map(str, source)) for source in sources)
             lines.append(f'  s{i} [label="{label}"];')
         for i, j in sorted(edges):
             lines.append(f"  s{i} -- s{j};")
@@ -142,7 +139,7 @@ def cmd_flipgraph(args) -> int:
     else:
         _emit(
             {
-                "spines": [spine_to_json(s) for s in spines],
+                "spines": [spine_to_json(s) for s in graph.spines],
                 "flips": sorted([i, j] for i, j in edges),
             }
         )

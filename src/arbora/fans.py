@@ -12,15 +12,17 @@ is, when their `SignedTree.path_masks` entry misses the deleted mask: the
 pair case of `blocks.held_together`, read from the one separation table
 that blocks and spines read too.  `adjacent_congruent` asks the same.
 A positive vertex receives one arc, a negative one at most one per tree
-neighbour.  `fan_cover_check` certifies that the spine cones tile the braid
-fan in integers only.  The wall between two flip-adjacent cones is read
-off per-fiber masks of the vertices that come before a vertex in every
-order of the fiber (`_always_before`).  Each cone is simplicial when the
-determinant of its 0/1 rays, the sink masks of the flip graph's mask arcs,
-and the all-ones row is nonzero: an odd determinant, found by elimination
-over GF(2) on the row masks (`_odd_determinant`), settles it, and the
-fraction-free (Bareiss) integer determinant is asked only when the rows
-are dependent mod 2.
+neighbour.  `fiber` lists the linear extensions of a maximal spine from the
+predecessor masks of its arcs.  `fan_cover_check` certifies that the spine
+cones tile the braid fan in integers only: each order finds its cone by one
+lookup of its swept arcs among the flip graph's arcs.  The wall between
+two flip-adjacent cones is read off per-fiber masks of the vertices that
+come before a vertex in every order of the fiber (`_always_before`).  Each
+cone is simplicial when the determinant of its 0/1 rays, the sink masks of
+the flip graph's mask arcs, and the all-ones row is nonzero: an odd
+determinant, found by elimination over GF(2) on the row masks
+(`_odd_determinant`), settles it, and the fraction-free (Bareiss) integer
+determinant is asked only when the rows are dependent mod 2.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .blocks import _mask
 from .errors import (
     InvalidOrder,
     InvalidPartition,
+    InvalidSpine,
     NotAdjacent,
     NotMaximal,
     VerificationFailure,
@@ -128,32 +131,31 @@ def _sweep(tree: SignedTree, order: tuple) -> list:
 
 @tree_cached
 def fiber(tree: SignedTree, spine: Spine) -> tuple:
-    """All linear extensions of a maximal spine, in lexicographic order."""
+    """All linear extensions of a maximal spine, in lexicographic order.
+
+    Read from the predecessor masks of its arcs (bit i for `standard_index`
+    i): breadth-first, each prefix grows by every unplaced vertex whose
+    predecessors it holds, in ascending bit order.  The standard vertices
+    are sorted, so the orders come out sorted.
+    """
     if not spine.is_maximal:
         raise NotMaximal("fibers are defined for maximal spines")
-    preds = {next(iter(label)): set() for label in spine.nodes}
-    for tail, head in spine.arcs:
-        preds[next(iter(head))].add(next(iter(tail)))
-
-    vertices = sorted(preds)
-    extensions = []
-
-    def backtrack(prefix, placed, remaining):
-        if not remaining:
-            extensions.append(tuple(prefix))
-            return
-        for v in sorted(remaining):
-            if preds[v] <= placed:
-                prefix.append(v)
-                placed.add(v)
-                remaining.remove(v)
-                backtrack(prefix, placed, remaining)
-                remaining.add(v)
-                placed.remove(v)
-                prefix.pop()
-
-    backtrack([], set(), set(vertices))
-    return tuple(extensions)
+    index = tree.standard_index
+    if len(spine.nodes) != tree.nu or any(v not in index for (v,) in spine.nodes):
+        raise InvalidSpine("spine labels are not standard vertices of the tree")
+    preds = [0] * tree.nu
+    for (tail,), (head,) in spine.arcs:
+        preds[index[head]] |= 1 << index[tail]
+    steps = [(v, 1 << i, preds[i]) for i, v in enumerate(tree.standard)]
+    prefixes = [((), 0)]
+    for _ in steps:
+        prefixes = [
+            (order + (v,), placed | bit)
+            for order, placed in prefixes
+            for v, bit, need in steps
+            if not placed & bit and need & placed == need
+        ]
+    return tuple(order for order, _ in prefixes)
 
 
 def adjacent_congruent(tree: SignedTree, order_a: Iterable, order_b: Iterable) -> bool:
@@ -216,25 +218,21 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
     graph = flip_graph(tree)
     spines = graph.spines
 
-    # (a) fibers partition the orders; each order is compared with its owner
+    # (a) fibers partition the orders; each order's sweep names its cone
     fibers = [fiber(tree, s) for s in spines]
-    position = {s: i for i, s in enumerate(spines)}
-    owner = {}  # order -> the position of the spine whose fiber holds it
+    owner = {}  # order -> the index of the spine whose fiber holds it
     for i, fib in enumerate(fibers):
         for order in fib:
             if order in owner:
                 failures.append(("duplicate-order", order))
             owner[order] = i
     order_count = sum(map(len, fibers))
-    pairs = [[arc[:2] for arc in arcs] for arcs in graph.arcs]
+    cone = {tuple(arc[:2] for arc in arcs): i for i, arcs in enumerate(graph.arcs)}
     for order in permutations(sorted(tree.standard)):
-        image = _sweep(tree, order)
-        if order in owner and image == pairs[owner[order]]:
-            continue
-        image = _maximal_spine(tree, image)
-        if image not in position:
+        i = cone.get(tuple(_sweep(tree, order)))
+        if i is None:
             failures.append(("sweep-misses-facet", order))
-        elif order not in fibers[position[image]]:
+        elif owner.get(order) != i and order not in fibers[i]:
             failures.append(("order-outside-its-fiber", order))
     if order_count != factorial(tree.nu):
         failures.append(("fiber-sizes", order_count))

@@ -252,18 +252,22 @@ def common_vertices_para(tree: SignedTree) -> tuple:
 
 
 def singleton_spines(tree: SignedTree) -> tuple:
-    """Maximal spines that are directed paths, with their unique extensions."""
-    from .fans import fiber
+    """Maximal spines that are directed paths, with their unique extensions.
 
+    A directed path has one linear extension, the path itself: it is read
+    off the arcs from the one vertex that is no head.
+    """
     graph = flip_graph(tree)
     results = []
     for spine, arcs in zip(graph.spines, graph.arcs):
-        tails, heads = {t for t, _, _ in arcs}, {h for _, h, _ in arcs}
-        if len(tails) < len(arcs) or len(heads) < len(arcs):  # not a directed path
+        successor = {t: h for t, h, _ in arcs}
+        heads = set(successor.values())
+        if len(successor) < len(arcs) or len(heads) < len(arcs):  # not a directed path
             continue
-        orders = fiber(tree, spine)
-        if len(orders) == 1:
-            results.append((spine, orders[0]))
+        order = [next(v for v in tree.standard if v not in heads)]
+        while order[-1] in successor:
+            order.append(successor[order[-1]])
+        results.append((spine, tuple(order)))
     return tuple(sorted(results, key=lambda pair: pair[1]))
 
 

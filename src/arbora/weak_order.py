@@ -170,17 +170,15 @@ def _interval_size(low: tuple, high: tuple) -> int:
 
 
 def congruence_diagnostics(
-    tree: SignedTree,
-    base: Iterable,
-    max_nu: int = 8,
-    first_witness_only: bool = False,
+    tree: SignedTree, base: Iterable, max_nu: int = 8
 ) -> FiberReport:
     """Check the sweep fibers against the base weak order.
 
-    Reports fibers that are not weak-order intervals and adjacent order
-    pairs on which the downward or upward fiber projections fail to be
-    order preserving.  With `first_witness_only` the search stops at the
-    first non-interval fiber.
+    Reports every fiber that is not a weak-order interval, and the first
+    adjacent order pair on which the downward or upward fiber projection
+    fails to be order preserving.  The projections are checked only when
+    every fiber has a unique minimum and maximum and the fibers hold every
+    order.
     """
     check_bound(tree, max_nu)
     base = _check_order(tree, base)
@@ -221,13 +219,11 @@ def congruence_diagnostics(
             fiber_max[idx] = top[0]
             if _interval_size(bottom[0], top[0]) != len(fib):
                 interval_failures.append((idx, "misses interior orders"))
-        if interval_failures and first_witness_only:
-            return FiberReport(tuple(interval_failures), None, None)
 
     down_failure = None
     up_failure = None
-    if len(fiber_min) == len(spines):
-        owner = {order: idx for idx, fib in enumerate(fibers) for order in fib}
+    owner = {order: idx for idx, fib in enumerate(fibers) for order in fib}
+    if len(fiber_min) == len(spines) and len(owner) == len(all_orders):
         for order in all_orders:
             for i in range(len(order) - 1):
                 swapped = list(order)

@@ -195,7 +195,7 @@ def test_criterion_10_congruence_failures():
     bases = sorted(permutations(range(1, 8)))[:: max(1, factorial(7) // 50)][:50]
     assert len(bases) == 50
     for base in bases:
-        found = congruence_diagnostics(spider, base, first_witness_only=True)
+        found = congruence_diagnostics(spider, base)
         assert found.interval_failures, base
     report("CRITERION 10 PASS: every tripod base fails; 50 spider bases have non-interval fibers")
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from arbora import blocks, catalog, fans
 from arbora.blocks import held_together, open_components
-from arbora.errors import InvalidOrder, NotAdjacent, VerificationFailure
+from arbora.errors import InvalidOrder, InvalidSpine, NotAdjacent, VerificationFailure
 from arbora.fans import (
     _always_before,
     _determinant,
@@ -299,7 +299,49 @@ class TestBstSpecialization:
             assert arcs == self._bst_arcs(list(order))
 
 
+def backtrack_fiber(spine):
+    """Oracle: the linear extensions by recursive backtracking on label sets."""
+    preds = {next(iter(label)): set() for label in spine.nodes}
+    for tail, head in spine.arcs:
+        preds[next(iter(head))].add(next(iter(tail)))
+    extensions = []
+
+    def backtrack(prefix, placed, remaining):
+        if not remaining:
+            extensions.append(tuple(prefix))
+            return
+        for v in sorted(remaining):
+            if preds[v] <= placed:
+                prefix.append(v)
+                placed.add(v)
+                remaining.remove(v)
+                backtrack(prefix, placed, remaining)
+                remaining.add(v)
+                placed.remove(v)
+                prefix.pop()
+
+    backtrack([], set(), set(preds))
+    return tuple(extensions)
+
+
 class TestFibers:
+    def test_equals_backtracking_on_corpus_and_named_trees(self):
+        # corpus() ends with the named trees: htree_eq, htree_diff, spider7
+        for tree in catalog.corpus(max_nu=5):
+            for spine in enumerate_maximal_spines(tree):
+                assert fiber(tree, spine) == backtrack_fiber(spine), (tree, spine)
+
+    def test_rejects_a_foreign_spine(self, tripod_neg):
+        shifted = Spine.make(
+            [{11}, {12}, {13}, {14}], [({11}, {12}), ({12}, {13}), ({13}, {14})]
+        )
+        smaller = kappa(path_neg(3), (1, 2, 3))
+        for spine in shifted, smaller:
+            with pytest.raises(
+                InvalidSpine, match="spine labels are not standard vertices of the tree"
+            ):
+                fiber(tripod_neg, spine)
+
     def test_path_spine_fiber_is_singleton(self, tripod_neg):
         spine = kappa(tripod_neg, (1, 2, 3, 4))
         assert fiber(tripod_neg, spine) == ((1, 2, 3, 4),)

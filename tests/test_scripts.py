@@ -13,7 +13,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     "command",
     [
         ["reproduce_tables.py"],
-        ["sweep_corpus.py", "--max-nu", "3"],
+        ["sweep_corpus.py", "--max-nu", "4"],
         ["signature_evidence.py", "--max-nu", "4"],
     ],
 )

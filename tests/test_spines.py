@@ -665,13 +665,16 @@ class TestFlipGraph:
         capsys.readouterr()
         assert calls == []
 
-    def test_consumers_read_the_mask_arcs(self):
-        from arbora import complexes, fans, geometry, weak_order
+    def test_consumers_read_the_mask_arcs(self, tmp_path, capsys):
+        from arbora import cli, complexes, fans, geometry, weak_order
+        from arbora.trees import tree_to_json
 
         ids = [f"masks{i}" for i in range(5)]
         edges = [(ids[0], ids[1]), (ids[0], ids[2]), (ids[2], ids[3]), (ids[3], ids[4])]
         tree = build_tree(list(zip(ids, "-+-+-")), edges)
         base = tuple(sorted(tree.standard))
+        path = tmp_path / "masks.json"
+        path.write_text(json.dumps(tree_to_json(tree)))
         assert geometry.realize_polytope(tree).certificate
         assert geometry.verify_realization(tree)
         assert fans.fan_cover_check(tree).passed
@@ -680,9 +683,14 @@ class TestFlipGraph:
         weak_order.increasing_flip_digraph(tree, base)
         geometry.singleton_count_recursive(tree)
         geometry.barycenter(tree)
+        weak_order.congruence_diagnostics(tree, base)
+        geometry.singleton_spines(tree)
+        assert cli.main(["flipgraph", str(path), "--dot"]) == 0
+        capsys.readouterr()
         spines = flip_graph(tree).spines
         assert len(spines) > 1
         for spine in spines:
+            fans.fiber(tree, spine)
             assert "_side_sets" not in vars(spine) and "_incident" not in vars(spine)
 
     def test_flip_disagreeing_with_stored_spine_raises(self, monkeypatch):

@@ -131,13 +131,12 @@ class TestCongruenceDiagnostics:
             assert not report.is_order_congruence
 
     def test_spider_non_interval_fiber(self, spider7):
-        report = congruence_diagnostics(
-            spider7, (1, 2, 3, 4, 5, 6, 7), first_witness_only=True
-        )
+        report = congruence_diagnostics(spider7, (1, 2, 3, 4, 5, 6, 7))
         assert report.interval_failures
 
     def test_reports_misses_interior_orders(self, htree_eq, monkeypatch):
-        # the largest fiber, checked first, loses an order between its extremes
+        # the largest fiber loses an order between its extremes; with one
+        # order held by no fiber, the projections are not checked
         spines = enumerate_maximal_spines(htree_eq)
         largest = max(spines, key=lambda s: len(fiber(htree_eq, s)))
         real = weak_order.fiber
@@ -148,7 +147,7 @@ class TestCongruenceDiagnostics:
 
         monkeypatch.setattr(weak_order, "fiber", thinned)
         base = (1, 2, 3, 4, 5, 6)
-        report = congruence_diagnostics(htree_eq, base, first_witness_only=True)
+        report = congruence_diagnostics(htree_eq, base)
         assert len(real(htree_eq, largest)) == 40
         assert report == FiberReport(((39, "misses interior orders"),), None, None)
 

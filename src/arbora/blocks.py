@@ -80,10 +80,10 @@ def is_building_block(tree: SignedTree, subset: Iterable) -> BlockCheck:
     if unknown:
         raise UnknownVertex(f"not standard vertices: {sorted(unknown)}")
     mask = _mask(tree, members)
-    if _span(tree, mask) & _mask(tree, tree.negatives) & ~mask:
+    if _span(tree, mask) & tree.negative_mask & ~mask:
         return BlockCheck(False, "negative")
     complement = ((1 << tree.nu) - 1) ^ mask
-    if _span(tree, complement) & _mask(tree, tree.positives) & mask:
+    if _span(tree, complement) & tree.positive_mask & mask:
         return BlockCheck(False, "positive")
     return BlockCheck(True)
 
@@ -104,7 +104,7 @@ def enumerate_blocks(tree: SignedTree) -> tuple:
     """
     standard, paths = tree.standard, tree.path_masks
     full = (1 << len(standard)) - 1
-    negative, positive = _mask(tree, tree.negatives), _mask(tree, tree.positives)
+    negative, positive = tree.negative_mask, tree.positive_mask
     span = array("Q", [0])  # span[mask] as `_span` gives it: 8 bytes, not ~36 in a list
     for t, row in enumerate(paths):
         spans = array("Q", [0])  # span[2^t | m], m doubling its range per bit
@@ -196,15 +196,9 @@ def validate_tube(tree: SignedTree, tube: SignedTube) -> None:
             raise InvalidTube(f"{name} does not induce a connected subgraph")
     if tube.w_minus | tube.w_plus != frozenset(tree.vertices):
         raise InvalidTube("the two open subtrees must cover the tree")
-    boundary_minus = frozenset(
-        n for v in tube.w_minus for n in tree.adjacency[v] if n not in tube.w_minus
-    )
-    boundary_plus = frozenset(
-        n for v in tube.w_plus for n in tree.adjacency[v] if n not in tube.w_plus
-    )
-    if not boundary_minus <= (tree.negatives & tube.w_plus):
+    if not _outer_boundary(tree, tube.w_minus) <= (tree.negatives & tube.w_plus):
         raise InvalidTube("boundary of W- must consist of negative vertices of W+")
-    if not boundary_plus <= (tree.positives & tube.w_minus):
+    if not _outer_boundary(tree, tube.w_plus) <= (tree.positives & tube.w_minus):
         raise InvalidTube("boundary of W+ must consist of positive vertices of W-")
 
 
@@ -217,14 +211,13 @@ def block_of_tube(tree: SignedTree, tube: SignedTube) -> frozenset:
 def subtree_of_tube(tree: SignedTree, tube: SignedTube) -> OpenSubtree:
     """Interior = W- meet W+; boundary = the two outer boundaries joined."""
     validate_tube(tree, tube)
-    interior = tube.w_minus & tube.w_plus
-    boundary_minus = frozenset(
-        n for v in tube.w_minus for n in tree.adjacency[v] if n not in tube.w_minus
-    )
-    boundary_plus = frozenset(
-        n for v in tube.w_plus for n in tree.adjacency[v] if n not in tube.w_plus
-    )
-    return OpenSubtree(interior, boundary_minus | boundary_plus)
+    boundary = _outer_boundary(tree, tube.w_minus) | _outer_boundary(tree, tube.w_plus)
+    return OpenSubtree(tube.w_minus & tube.w_plus, boundary)
+
+
+def _outer_boundary(tree: SignedTree, part: frozenset) -> frozenset:
+    """The vertices outside `part` adjacent to it."""
+    return frozenset(n for v in part for n in tree.adjacency[v] if n not in part)
 
 
 class Compatibility(Enum):
@@ -292,18 +285,13 @@ def reconstruct_tree(vertex_ids: Iterable, blocks: Iterable) -> SignedTree:
             seen.add(full - b)
             cuts.append(min(b, full - b, key=subset_key))
     tree_edges = _assemble_edges(ids, cuts)
-    signs = {}
     temp = build_tree([(v, "-") for v in ids], tree_edges)
-    for v in ids:
-        if temp.degree(v) == 1:
-            signs[v] = "-"
-        elif frozenset((v,)) in blocks:
-            signs[v] = "-"
-        elif full - {v} in blocks:
-            signs[v] = "+"
-        else:
-            signs[v] = "-"
-    return build_tree([(v, signs[v]) for v in ids], tree_edges)
+    positive = {  # internal, with the co-singleton a block and the singleton not
+        v
+        for v in ids
+        if temp.degree(v) != 1 and frozenset((v,)) not in blocks and full - {v} in blocks
+    }
+    return build_tree([(v, "+" if v in positive else "-") for v in ids], tree_edges)
 
 
 def _assemble_edges(ids, cuts) -> list:

@@ -24,8 +24,8 @@ from .trees import SignedTree, build_tree, check_bound, signature_classes, tree_
 ALL_ORDERS_MAX_NU = 6
 
 # `flipgraph`, `complex` and `singletons` hold every maximal spine: on a
-# 9-vertex star (109 601 spines) they peak at 318-704 MiB, and a 10-vertex
-# star has nine times as many spines, so about 2.8-6.2 GiB.
+# 9-vertex star (109 601 spines) they peak at 232-638 MiB, and a 10-vertex
+# star has nine times as many spines, so about 2.1-5.6 GiB.
 SPINES_MAX_NU = 9
 
 # `kappa` reads `SignedTree.path_masks`, the one separation table of the
@@ -119,11 +119,10 @@ def cmd_flipgraph(args) -> int:
     tree = _load_tree(args.tree)
     check_bound(tree, SPINES_MAX_NU)
     graph = flip_graph(tree)
-    edges = {
-        (min(i, j), max(i, j))
-        for i, targets in enumerate(graph.neighbors)
-        for j in targets
-    }
+    # a flip is in the neighbours of both its spines: list it once, from the lower
+    flips = sorted(
+        (i, j) for i, targets in enumerate(graph.neighbors) for j in targets if i < j
+    )
     if args.dot:
         lines = ["graph flips {"]
         members = list(enumerate(tree.standard))
@@ -132,7 +131,7 @@ def cmd_flipgraph(args) -> int:
             sources.sort(key=lambda s: (len(s), s))
             label = "|".join(",".join(map(str, source)) for source in sources)
             lines.append(f'  s{i} [label="{label}"];')
-        for i, j in sorted(edges):
+        for i, j in flips:
             lines.append(f"  s{i} -- s{j};")
         lines.append("}")
         sys.stdout.write("\n".join(lines) + "\n")
@@ -140,7 +139,7 @@ def cmd_flipgraph(args) -> int:
         _emit(
             {
                 "spines": [spine_to_json(s) for s in graph.spines],
-                "flips": sorted([i, j] for i, j in edges),
+                "flips": flips,
             }
         )
     return 0
@@ -316,6 +315,9 @@ def main(argv=None) -> int:
         return 2
     except (ArboraError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -2,27 +2,27 @@
 
 kappa maps a linear order on the standard vertices to the unique maximal
 spine of which it is a linear extension; kappa_extended does the same for
-ordered partitions.  Both rest on a bottom-up sweep that asks one pair
-question: when the sweep reaches v, with the unswept negatives and the
-swept positives deleted, v receives an arc from each earlier vertex u that
-is held together with v but not with the tail of an arc that v already
-received, walking back from the latest vertex.  Two vertices are held
-together when no deleted vertex lies strictly inside their tree path, that
-is, when their `SignedTree.path_masks` entry misses the deleted mask: the
-pair case of `blocks.held_together`, read from the one separation table
-that blocks and spines read too.  `adjacent_congruent` asks the same.
-A positive vertex receives one arc, a negative one at most one per tree
+ordered partitions.  Both rest on a bottom-up sweep, `_sweep`, on standard
+indices (bit i for `tree.standard[i]`), like the flip graph's index arcs;
+vertex ids appear only in a result: a `Spine`, an order, a witness.  When
+the sweep reaches v, with the unswept negatives and the swept positives
+deleted, v receives an arc from each earlier vertex u that is held
+together with v but not with the tail of an arc that v already received,
+walking back from the latest vertex.  Two vertices are held together when
+their `SignedTree.path_masks` entry misses the deleted mask: the pair case
+of `blocks.held_together`, which `adjacent_congruent` asks too.  A
+positive vertex receives one arc, a negative one at most one per tree
 neighbour.  `fiber` lists the linear extensions of a maximal spine from the
 predecessor masks of its arcs.  `fan_cover_check` certifies that the spine
 cones tile the braid fan in integers only: each order finds its cone by one
 lookup of its swept arcs among the flip graph's arcs.  The wall between
 two flip-adjacent cones is read off per-fiber masks of the vertices that
 come before a vertex in every order of the fiber (`_always_before`).  Each
-cone is simplicial when the determinant of its 0/1 rays, the sink masks of
-the flip graph's mask arcs, and the all-ones row is nonzero: an odd
-determinant, found by elimination over GF(2) on the row masks
-(`_odd_determinant`), settles it, and the fraction-free (Bareiss) integer
-determinant is asked only when the rows are dependent mod 2.
+cone is simplicial when the determinant of its 0/1 rays (the sink masks)
+and the all-ones row is nonzero: an odd determinant, found over GF(2) on
+the row masks (`_odd_determinant`), settles it, and the fraction-free
+(Bareiss) integer determinant is asked only when the rows are dependent
+mod 2.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from itertools import permutations
 from math import factorial
 from typing import Iterable
 
-from .blocks import _mask
 from .errors import (
     InvalidOrder,
     InvalidPartition,
@@ -42,7 +41,7 @@ from .errors import (
     VerificationFailure,
     failure_summary,
 )
-from .spines import Spine, _maximal_spine, flip_graph
+from .spines import Spine, _maximal_spine, _singleton_labels, flip_graph
 from .trees import SignedTree, canonical_edge, check_bound, tree_cached
 
 
@@ -72,7 +71,8 @@ def kappa_extended(tree: SignedTree, partition: Iterable) -> Spine:
     """
     parts = _check_partition(tree, partition)
     level = {v: i for i, p in enumerate(parts) for v in p}
-    pairs = _sweep(tree, tuple(v for p in parts for v in sorted(p)))
+    refinement = kappa(tree, [v for p in parts for v in sorted(p)])
+    pairs = [(t, h) for (t,), (h,) in refinement.arcs]
     label = {v: frozenset((v,)) for v in level}
     for t, h in pairs:
         if level[t] == level[h]:
@@ -84,11 +84,13 @@ def kappa_extended(tree: SignedTree, partition: Iterable) -> Spine:
 
 def kappa(tree: SignedTree, order: Iterable) -> Spine:
     """The unique maximal spine of which `order` is a linear extension."""
-    return _maximal_spine(tree, _sweep(tree, _check_order(tree, order)))
+    index = tree.standard_index
+    pairs = _sweep(tree, [index[v] for v in _check_order(tree, order)])
+    return _maximal_spine(_singleton_labels(tree.standard), pairs)
 
 
-def _sweep(tree: SignedTree, order: tuple) -> list:
-    """Bottom-up sweep of a linear order into the arcs of a maximal spine.
+def _sweep(tree: SignedTree, order: Iterable) -> list:
+    """Bottom-up sweep of a linear order of standard indices into spine arcs.
 
     When the sweep reaches v, the deleted set is the unswept negatives and
     the swept positives.  Each open component at v (a component of the tree
@@ -98,15 +100,15 @@ def _sweep(tree: SignedTree, order: tuple) -> list:
     together with v and with no tail already found: u and t are held
     together when their path mask misses the deleted mask.  A positive v
     lies in a single component; a negative v bounds one per tree neighbour.
-    The arcs come back as sorted (tail, head) pairs.
+    The arcs come back as sorted (tail, head) index pairs.
     """
-    index, standard, paths = tree.standard_index, tree.standard, tree.path_masks
-    deleted = _mask(tree, tree.negatives)
+    standard, paths, adjacency = tree.standard, tree.path_masks, tree.adjacency
+    positives, deleted = tree.positive_mask, tree.negative_mask
     swept, arcs = [], []
-    for v in order:
-        i = index[v]
-        positive = v in tree.positives
-        wanted = 1 if positive else len(tree.adjacency[v])
+    for i in order:
+        bit = 1 << i
+        positive = positives & bit
+        wanted = 1 if positive else len(adjacency[standard[i]])
         tails = []
         for j in reversed(swept):
             row = paths[j]
@@ -122,11 +124,11 @@ def _sweep(tree: SignedTree, order: tuple) -> list:
                     break
         swept.append(i)
         if positive:
-            deleted |= 1 << i
+            deleted |= bit
         else:
-            deleted &= ~(1 << i)
-    # standard indices ascend with the vertices, so the pairs sort alike
-    return [(standard[t], standard[h]) for t, h in sorted(arcs)]
+            deleted &= ~bit
+    arcs.sort()
+    return arcs
 
 
 @tree_cached
@@ -164,20 +166,26 @@ def adjacent_congruent(tree: SignedTree, order_a: Iterable, order_b: Iterable) -
     The orders must differ by one adjacent transposition of u, v; they are
     congruent exactly when some w strictly between u and v on the tree path
     is negative and swept after both, or positive and swept before both.
+    `order_b` is validated only when it is not `order_a` with one adjacent
+    transposition, so that `InvalidOrder` comes before `NotAdjacent`.
     """
-    a = _check_order(tree, order_a)
-    b = _check_order(tree, order_b)
-    diffs = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
-    if len(diffs) != 2 or diffs[1] != diffs[0] + 1:
+    a, b = _check_order(tree, order_a), tuple(order_b)
+    i = 0  # the first position where the orders differ
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        i += 1
+    swapped = i + 1 < len(a) == len(b) and (b[i], b[i + 1]) == (a[i + 1], a[i])
+    if not swapped or a[i + 2 :] != b[i + 2 :]:
+        _check_order(tree, b)
         raise NotAdjacent("orders must differ by one adjacent transposition")
-    i = diffs[0]
-    if (a[i], a[i + 1]) != (b[i + 1], b[i]):
-        raise NotAdjacent("orders must differ by one adjacent transposition")
-    u, v = a[i], a[i + 1]
-    swept_after, swept_before = frozenset(a[i + 2 :]), frozenset(a[:i])
-    deleted = (tree.negatives & swept_after) | (tree.positives & swept_before)
-    index = tree.standard_index
-    return bool(tree.path_masks[index[u]][index[v]] & _mask(tree, deleted))
+    index, before = tree.standard_index, 0
+    for w in a[:i]:
+        before |= 1 << index[w]
+    u, v = index[a[i]], index[a[i + 1]]
+    after = ((1 << tree.nu) - 1) ^ before ^ (1 << u) ^ (1 << v)
+    deleted = (before & tree.positive_mask) | (after & tree.negative_mask)
+    return bool(tree.path_masks[u][v] & deleted)
 
 
 def orientation_of_order(tree: SignedTree, order: Iterable) -> dict:
@@ -216,10 +224,10 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
     check_bound(tree, max_nu)
     failures = []
     graph = flip_graph(tree)
-    spines = graph.spines
+    standard, nu = tree.standard, tree.nu
 
     # (a) fibers partition the orders; each order's sweep names its cone
-    fibers = [fiber(tree, s) for s in spines]
+    fibers = [fiber(tree, s) for s in graph.spines]
     owner = {}  # order -> the index of the spine whose fiber holds it
     for i, fib in enumerate(fibers):
         for order in fib:
@@ -228,46 +236,48 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
             owner[order] = i
     order_count = sum(map(len, fibers))
     cone = {tuple(arc[:2] for arc in arcs): i for i, arcs in enumerate(graph.arcs)}
-    for order in permutations(sorted(tree.standard)):
-        i = cone.get(tuple(_sweep(tree, order)))
+    for swept in permutations(range(nu)):
+        order = tuple(standard[k] for k in swept)
+        i = cone.get(tuple(_sweep(tree, swept)))
         if i is None:
             failures.append(("sweep-misses-facet", order))
         elif owner.get(order) != i and order not in fibers[i]:
             failures.append(("order-outside-its-fiber", order))
-    if order_count != factorial(tree.nu):
+    if order_count != factorial(nu):
         failures.append(("fiber-sizes", order_count))
 
     # (b) walls separate flip-adjacent cones: u precedes v in every order of
     # the cone of an arc u -> v, and follows it in every order of its flip;
     # the orders are scanned only for the failures
-    index, full = tree.standard_index, (1 << tree.nu) - 1
+    full = (1 << nu) - 1
     before = [_always_before(tree, fib) for fib in fibers]
     for i, (fib, arcs, targets) in enumerate(zip(fibers, graph.arcs, graph.neighbors)):
-        for (u, v, _), j in zip(arcs, targets):
-            if not before[i][index[v]] >> index[u] & 1:
+        for (iu, iv, _), j in zip(arcs, targets):
+            u, v = standard[iu], standard[iv]
+            if not before[i][iv] >> iu & 1:
                 for order in fib:
                     if order.index(u) > order.index(v):
                         failures.append(("wall-side", (u, v, order)))
-            if not before[j][index[u]] >> index[v] & 1:
+            if not before[j][iu] >> iv & 1:
                 for order in fibers[j]:
                     if order.index(v) > order.index(u):
                         failures.append(("wall-side-neighbor", (u, v, order)))
 
     # (c) simplicial cones: rays independent modulo the all-ones line
-    for s, arcs in zip(spines, graph.arcs):
-        ends = [(1 << index[tu], 1 << index[th], tu, th) for tu, th, _ in arcs]
+    for spine, arcs in zip(graph.spines, graph.arcs):
         sinks = [full ^ mask for *_, mask in arcs]
         for sink in sinks:
-            for bit_t, bit_h, tu, th in ends:
-                if sink & bit_t and not sink & bit_h:
-                    members = sorted(v for v in index if sink >> index[v] & 1)
-                    failures.append(("ray-violates-arc", (members, tu, th)))
-        if len(arcs) != tree.nu - 1:
-            failures.append(("arc-count", s.key()))
+            for t, h, _ in arcs:
+                if sink >> t & 1 and not sink >> h & 1:
+                    members = [v for k, v in enumerate(standard) if sink >> k & 1]
+                    witness = (members, standard[t], standard[h])
+                    failures.append(("ray-violates-arc", witness))
+        if len(arcs) != nu - 1:
+            failures.append(("arc-count", spine.key()))
         elif not _odd_determinant(sinks + [full]) and _determinant(
-            [[sink >> i & 1 for i in range(tree.nu)] for sink in sinks + [full]]
+            [[sink >> k & 1 for k in range(nu)] for sink in sinks + [full]]
         ) == 0:
-            failures.append(("rays-dependent", sorted(map(sorted, s.key()))))
+            failures.append(("rays-dependent", sorted(map(sorted, spine.key()))))
 
     if failures:
         summary = "; ".join(
@@ -275,7 +285,7 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
             for kind, count, witness in failure_summary(failures)
         )
         raise VerificationFailure(f"fan check failed: {summary}")
-    return FanCertificate(True, len(spines), order_count)
+    return FanCertificate(True, len(graph.arcs), order_count)
 
 
 def _always_before(tree: SignedTree, orders: tuple) -> list:

@@ -14,6 +14,7 @@ they refuse a phantom tree.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -21,7 +22,7 @@ from typing import Iterable, Optional
 
 from .blocks import _mask, enumerate_blocks, held_together
 from .errors import NotMaximal, RecursionMismatch, failure_summary
-from .spines import Spine, _checked_arcs, flip_graph
+from .spines import Spine, _checked_arcs, _maximal_spine, _singleton_labels, flip_graph
 from .trees import (
     Sign,
     SignedTree,
@@ -56,19 +57,19 @@ def vertex_point(tree: SignedTree, spine: Spine) -> dict:
 
 
 def _point(tree: SignedTree, arcs: tuple) -> dict:
-    """`vertex_point` on the checked (tail, head, source mask) arcs of a spine."""
-    nu = tree.nu
-    branches = {v: [] for v in tree.standard}
+    """`vertex_point` on the checked index arcs of a spine."""
+    nu, negatives, positives = tree.nu, tree.negative_mask, tree.positive_mask
+    branches = [[] for _ in range(nu)]
     for tail, head, mask in arcs:
-        if head in tree.negatives:
+        if negatives >> head & 1:
             branches[head].append(mask.bit_count())
-        if tail in tree.positives:
+        if positives >> tail & 1:
             branches[tail].append(nu - mask.bit_count())
     coords = {}
-    for v, sizes in branches.items():
-        pairs = sum(a * b for i, a in enumerate(sizes) for b in sizes[:i])
+    for i, (v, sizes) in enumerate(zip(tree.standard, branches)):
+        pairs = sum(a * b for k, a in enumerate(sizes) for b in sizes[:k])
         count = 1 + sum(sizes) + pairs
-        coords[v] = count if v in tree.negatives else nu + 1 - count
+        coords[v] = count if negatives >> i & 1 else nu + 1 - count
     return coords
 
 
@@ -127,16 +128,14 @@ def verify_realization(tree: SignedTree) -> RealizationCertificate:
 
 def _certify(tree: SignedTree, points: list) -> RealizationCertificate:
     """`verify_realization` on the points of the flip graph's spines, in order."""
-    nu, index = tree.nu, tree.standard_index
+    nu, standard = tree.nu, tree.standard
     blocks = [(b, _mask(tree, b), comb(len(b) + 1, 2)) for b in enumerate_blocks(tree)]
     graph = flip_graph(tree)
-    coords = [[point[v] for v in tree.standard] for point in points]
+    coords = [[point[v] for v in standard] for point in points]
     failures = []
-    for spine, arcs, point, targets in zip(
-        graph.spines, graph.arcs, coords, graph.neighbors
-    ):
+    for i, (arcs, point, targets) in enumerate(zip(graph.arcs, coords, graph.neighbors)):
         if sum(point) != comb(nu + 1, 2):
-            failures.append(("total", spine.key()))
+            failures.append(("total", graph.spines[i].key()))
         sums = [0]  # sums[mask]: the coordinate sum over a mask, by doubling
         for value in point:
             sums += [total + value for total in sums]
@@ -149,12 +148,11 @@ def _certify(tree: SignedTree, points: list) -> RealizationCertificate:
                 failures.append(("strict", sorted(block)))
         for (u, v, _), j in zip(arcs, targets):
             delta = [b - a for a, b in zip(point, coords[j])]
-            iu, iv = index[u], index[v]
-            lam = delta[iu]
-            if lam <= 0 or delta[iv] != -lam:
-                failures.append(("flip", (u, v)))
+            lam = delta[u]
+            if lam <= 0 or delta[v] != -lam:
+                failures.append(("flip", (standard[u], standard[v])))
             elif len(delta) - delta.count(0) > 2:  # moves off u and v too
-                failures.append(("flip-support", (u, v)))
+                failures.append(("flip-support", (standard[u], standard[v])))
     if failures:
         return RealizationCertificate(False, failures[0], failure_summary(failures))
     return RealizationCertificate(True)
@@ -187,8 +185,7 @@ def para_summands(tree: SignedTree, max_nu: int = 12) -> ParaSummands:
     nu = tree.nu
     weights = {}
     for edge in tree.edges:
-        u, v = edge
-        side = tree.component_containing(frozenset({v}), u)
+        side = tree.component_containing(frozenset({edge[1]}), edge[0])
         weights[edge] = len(side) * (len(tree.vertices) - len(side))
     from itertools import combinations
 
@@ -197,17 +194,15 @@ def para_summands(tree: SignedTree, max_nu: int = 12) -> ParaSummands:
     for r in range(1, nu + 1):
         for combo in combinations(vertices, r):
             subset = frozenset(combo)
-            crossing = Fraction(0)
-            for edge, weight in weights.items():
-                a, b = edge
-                if (a in subset) != (b in subset):
-                    crossing += Fraction(weight, 2)
+            crossing = sum(
+                Fraction(w, 2)
+                for (a, b), w in weights.items()
+                if (a in subset) != (b in subset)
+            )
             z.append((subset, Fraction(len(subset) * (nu + 1), 2) - crossing))
     y = []
     for v in vertices:
-        incident = sum(
-            Fraction(w, 2) for e, w in weights.items() if v in e
-        )
+        incident = sum(Fraction(w, 2) for e, w in weights.items() if v in e)
         value = Fraction(nu + 1, 2) - incident
         if value:
             y.append((frozenset({v}), value))
@@ -227,27 +222,17 @@ def common_vertices_para(tree: SignedTree) -> tuple:
     one and positive vertices in-degree at most one.
     """
     check_standard(tree, "the bounding parallelepiped")
-    edges = list(tree.edges)
+    edges, labels = tree.edges, {v: frozenset({v}) for v in tree.vertices}
     results = []
     for mask in range(1 << len(edges)):
-        arcs = []
-        outdeg = {v: 0 for v in tree.vertices}
-        indeg = {v: 0 for v in tree.vertices}
-        for i, (u, v) in enumerate(edges):
-            if mask >> i & 1:
-                arcs.append((frozenset({u}), frozenset({v})))
-                outdeg[u] += 1
-                indeg[v] += 1
-            else:
-                arcs.append((frozenset({v}), frozenset({u})))
-                outdeg[v] += 1
-                indeg[u] += 1
-        if any(outdeg[v] > 1 for v in tree.negatives):
+        arcs = [(u, v) if mask >> i & 1 else (v, u) for i, (u, v) in enumerate(edges)]
+        outdeg, indeg = Counter(t for t, _ in arcs), Counter(h for _, h in arcs)
+        if any(outdeg[v] > 1 for v in tree.negatives) or any(
+            indeg[v] > 1 for v in tree.positives
+        ):
             continue
-        if any(indeg[v] > 1 for v in tree.positives):
-            continue
-        spine = Spine.make([frozenset({v}) for v in tree.vertices], arcs)
-        results.append(spine)
+        labelled = [(labels[t], labels[h]) for t, h in arcs]
+        results.append(Spine.make(labels.values(), labelled))
     return tuple(sorted(results, key=lambda s: sorted(map(sorted, s.key()))))
 
 
@@ -255,19 +240,20 @@ def singleton_spines(tree: SignedTree) -> tuple:
     """Maximal spines that are directed paths, with their unique extensions.
 
     A directed path has one linear extension, the path itself: it is read
-    off the arcs from the one vertex that is no head.
+    off the index arcs from the one vertex that is no head.  Only the
+    spines returned are built.
     """
-    graph = flip_graph(tree)
+    labels, standard = _singleton_labels(tree.standard), tree.standard
     results = []
-    for spine, arcs in zip(graph.spines, graph.arcs):
+    for arcs in flip_graph(tree).arcs:
         successor = {t: h for t, h, _ in arcs}
         heads = set(successor.values())
         if len(successor) < len(arcs) or len(heads) < len(arcs):  # not a directed path
             continue
-        order = [next(v for v in tree.standard if v not in heads)]
-        while order[-1] in successor:
-            order.append(successor[order[-1]])
-        results.append((spine, tuple(order)))
+        path = [next(i for i in range(tree.nu) if i not in heads)]
+        while path[-1] in successor:
+            path.append(successor[path[-1]])
+        results.append((_maximal_spine(labels, arcs), tuple(standard[i] for i in path)))
     return tuple(sorted(results, key=lambda pair: pair[1]))
 
 

@@ -54,9 +54,7 @@ def tight_rhs(tree: SignedTree, subset: Iterable) -> int:
         return 0
     nu = tree.nu
     spine = two_level_spine(tree, subset)
-    total = sum(
-        comb(len(spine.source_set(arc)) + 1, 2) for arc in spine.arcs
-    )
+    total = sum(comb(len(spine.source_set(arc)) + 1, 2) for arc in spine.arcs)
     degree_excess = sum(
         len(spine.incoming(node)) + len(spine.outgoing(node)) - 1
         for node in _source_nodes(spine, subset)
@@ -74,17 +72,17 @@ def _tight_table(tree: SignedTree) -> list:
     two-level spine touches the cross arcs at it, so the degree excess
     over the source nodes is #cross - (|S| - #arcs inside S).
     """
-    nu, standard, index = tree.nu, tree.standard, tree.standard_index
+    nu = tree.nu
     table = [0] * (1 << nu)
     for mask in range(1, 1 << nu):
-        order = [v for i, v in enumerate(standard) if mask >> i & 1]
-        order += [v for i, v in enumerate(standard) if not mask >> i & 1]
-        pairs = _sweep(tree, tuple(order))
+        order = [i for i in range(nu) if mask >> i & 1]
+        order += [i for i in range(nu) if not mask >> i & 1]
+        pairs = _sweep(tree, order)
         total, cross, inside = 0, 0, 0
-        for (tail, head), source in zip(pairs, _source_masks(standard, pairs)):
-            if mask >> index[head] & 1:  # the tail is swept earlier: inside S
+        for (tail, head), source in zip(pairs, _source_masks(nu, pairs)):
+            if mask >> head & 1:  # the tail is swept earlier: inside S
                 inside += 1
-            elif mask >> index[tail] & 1:
+            elif mask >> tail & 1:
                 cross += 1
                 total += comb(source.bit_count() + 1, 2)
         excess = cross - mask.bit_count() + inside

@@ -11,16 +11,16 @@ on the tree path between two vertices of a set.  It is answered from the
 one separation table that block convexity reads, `SignedTree.path_masks`.
 Maximal spines (all labels singletons) are the facets of the nested
 complex; contraction and splitting move between ranks; flips move between
-adjacent facets.  A flip is one rule, `_exchange`, on a maximal spine
-written as (tail, head, source mask) arcs: it exchanges one block of the
-nested set.  `flip_graph` is the one place where the flips of a tree are
-enumerated, and it checks each spine once, on those arcs: the masks are
-recomputed from the arcs by the one rooted walk, `_source_masks`, and the
-separation rule is read off the path masks (`_check_masks`, with
-`validate_spine` as its oracle).  It keeps the mask arcs of every spine,
-and everything that reads the flip graph reads them and its neighbour
-table; a `Spine` is built for output.  The side sets of a `Spine` come
-from the same walk.
+adjacent facets.  Inside the package a maximal spine is its *index arcs*:
+sorted (tail, head, source mask) triples whose ends and bits are standard
+indices (i for `tree.standard[i]`); vertex ids appear only where a result
+leaves this layer.  A flip is one rule on them, `_exchange`: it exchanges
+one block of the nested set.  `flip_graph`, the one place where the flips
+of a tree are enumerated, checks each spine once: the masks are recomputed
+by the one rooted walk, `_source_masks`, and the separation rule is read
+off the path masks (`_check_masks`, with `validate_spine` as its oracle).
+Its readers read the index arcs; `FlipGraph.spines` builds the `Spine`s on
+first read.  The side sets of a `Spine` come from the same walk.
 """
 
 from __future__ import annotations
@@ -94,10 +94,10 @@ class Spine:
         """For each arc, the set of vertices on its tail side.
 
         Read off the source masks of the one rooted walk, `_source_masks`,
-        over the nodes.  Arcs that do not form a tree on the nodes have no
-        sides: they raise `InvalidSpine`.
+        over the numbered nodes.  Arcs that do not form a tree on the nodes
+        have no sides: they raise `InvalidSpine`.
         """
-        masks = _source_masks(self.nodes, self.arcs)
+        masks = _label_source_masks(self.nodes, self.arcs)
         if masks is None:
             raise InvalidSpine("spine arcs do not form a tree")
         labels = list(enumerate(self.nodes))
@@ -179,7 +179,7 @@ def validate_spine(tree: SignedTree, spine: Spine) -> SpineCheck:
     for tail, head in spine.arcs:
         if tail not in label_set or head not in label_set:
             return SpineCheck(False, "arc endpoint is not a node")
-    if _source_masks(labels, spine.arcs) is None:
+    if _label_source_masks(labels, spine.arcs) is None:
         return SpineCheck(False, "arcs do not connect the nodes")
 
     for label in labels:
@@ -267,23 +267,20 @@ def split_node(tree: SignedTree, spine: Spine, node: Iterable, vertex) -> Spine:
     return result
 
 
-def _source_masks(nodes, arcs) -> Optional[list]:
-    """The source masks of (tail, head, ...) arcs over `nodes`, bit i for nodes[i].
+def _source_masks(n: int, arcs) -> Optional[list]:
+    """The source masks of (tail, head, ...) index arcs on the nodes 0 .. n - 1.
 
-    The package's one rooted walk: a breadth-first walk from the first node
-    roots the arcs; then, children first, each node gathers the bits below
-    it.  An arc's source mask is what lies below its lower end when that end
-    is its tail, and the complement when it is its head.  None unless the
-    arcs form a tree on the nodes.
+    The package's one rooted walk: a breadth-first walk from node 0 roots
+    the arcs; then, children first, each node gathers the bits below it.
+    An arc's source mask is what lies below its lower end when that end is
+    its tail, and the complement when it is its head.  Every end must be a
+    node; None unless the arcs form a tree on the nodes.
     """
-    if len(arcs) != len(nodes) - 1:
+    if len(arcs) != n - 1:
         return None
-    index = {node: i for i, node in enumerate(nodes)}
-    incident = [[] for _ in nodes]  # (arc, far end, far end is its tail)
+    incident = [[] for _ in range(n)]  # (arc, far end, far end is its tail)
     for k, arc in enumerate(arcs):
-        t, h = index.get(arc[0]), index.get(arc[1])
-        if t is None or h is None:
-            return None
+        t, h = arc[0], arc[1]
         incident[t].append((k, h, False))
         incident[h].append((k, t, True))
     walk, reached = [(0, None, None, None)], {0}  # (node, arc up, parent, is tail)
@@ -292,10 +289,10 @@ def _source_masks(nodes, arcs) -> Optional[list]:
             if j not in reached:
                 reached.add(j)
                 walk.append((j, k, i, tail))
-    if len(walk) != len(nodes):
+    if len(walk) != n:
         return None
-    full = (1 << len(nodes)) - 1
-    below = [1 << i for i in range(len(nodes))]
+    full = (1 << n) - 1
+    below = [1 << i for i in range(n)]
     masks = [0] * len(arcs)
     for i, k, parent, tail in reversed(walk[1:]):
         below[parent] |= below[i]
@@ -303,16 +300,16 @@ def _source_masks(nodes, arcs) -> Optional[list]:
     return masks
 
 
-def _masked(tree: SignedTree, pairs: list) -> tuple:
-    """Sorted (tail, head) pairs of a maximal spine as (tail, head, source mask) arcs."""
-    masks = _source_masks(tree.standard, pairs)
-    if masks is None:
-        raise InvalidSpine("arcs do not form a tree on the standard vertices")
-    return tuple((t, h, m) for (t, h), m in zip(pairs, masks))
+def _label_source_masks(nodes, arcs) -> Optional[list]:
+    """`_source_masks` of (tail label, head label) arcs, bit i for nodes[i]."""
+    index = {node: i for i, node in enumerate(nodes)}
+    if any(t not in index or h not in index for t, h in arcs):
+        return None
+    return _source_masks(len(nodes), [(index[t], index[h]) for t, h in arcs])
 
 
 def _exchange(tree: SignedTree, arcs: tuple, k: int) -> tuple:
-    """Flip arc k = u -> v of a valid maximal spine given as source-mask arcs.
+    """Flip arc k = u -> v of a valid maximal spine given as index arcs.
 
     The incoming arc of u rooted on v's side of the tree (arc_i) moves to v,
     and the outgoing arc of v sinking on u's side (arc_o) moves to u; a
@@ -325,24 +322,24 @@ def _exchange(tree: SignedTree, arcs: tuple, k: int) -> tuple:
     of u -> v, and every other mask stays.  The arcs come back sorted.
     """
     u, v, source = arcs[k]
-    index, paths = tree.standard_index, tree.path_masks
-    bit_u, bit_v = 1 << index[u], 1 << index[v]
-    from_u, from_v = paths[index[u]], paths[index[v]]
+    bit_u, bit_v = 1 << u, 1 << v
+    from_u, from_v = tree.path_masks[u], tree.path_masks[v]
+    u_positive, v_negative = tree.positive_mask & bit_u, tree.negative_mask & bit_v
     full = (1 << tree.nu) - 1
     exchanged, sink, gained = list(arcs), 0, 0
     for j, (tail, head, mask) in enumerate(arcs):
-        if head == u and (u in tree.positives or not from_v[index[tail]] & bit_u):
+        if head == u and (u_positive or not from_v[tail] & bit_u):
             exchanged[j], gained = (tail, v, mask), mask
-        elif tail == v and (v in tree.negatives or not from_u[index[head]] & bit_v):
+        elif tail == v and (v_negative or not from_u[head] & bit_v):
             exchanged[j], sink = (u, head, mask), full ^ mask
     exchanged[k] = (v, u, ((full ^ source) & ~sink) | gained)
     return tuple(sorted(exchanged))
 
 
 def _check_masks(tree: SignedTree, arcs: tuple) -> SpineCheck:
-    """Validate a maximal spine given as sorted (tail, head, source mask) arcs.
+    """Validate a maximal spine given as sorted index arcs.
 
-    The arcs must form a tree on the standard vertices, and the source masks
+    The arcs must form a tree on the standard indices, and the source masks
     recomputed from that tree alone must be the given ones.  The separation
     rule is then read off the path masks: at a node w, the side masks of its
     incoming arcs (source masks) each lie in one component of the tree minus
@@ -351,70 +348,68 @@ def _check_masks(tree: SignedTree, arcs: tuple) -> SpineCheck:
     has at most one incoming arc when it is positive; dually for the sink
     masks of its outgoing arcs.  This accepts exactly the arcs of which
     `validate_spine` accepts the spine and whose masks are its source sets.
+    A reason names its node by vertex id.
     """
-    index = tree.standard_index
-    if len(arcs) != tree.nu - 1:
+    nu = tree.nu
+    if len(arcs) != nu - 1:
         return SpineCheck(False, "arc count is not node count minus one")
-    if any(t not in index or h not in index for t, h, _ in arcs):
+    if any(not (0 <= t < nu and 0 <= h < nu) for t, h, _ in arcs):
         return SpineCheck(False, "arc endpoint is not a node")
-    masks = _source_masks(tree.standard, arcs)
+    masks = _source_masks(nu, arcs)
     if masks is None:
         return SpineCheck(False, "arcs do not connect the nodes")
     if masks != [m for *_, m in arcs]:
         return SpineCheck(False, "source masks are not the spine's")
-    full, paths, far_ends = (1 << tree.nu) - 1, tree.path_masks, {}
+    full, paths, far_ends = (1 << nu) - 1, tree.path_masks, {}
     for t, h, m in arcs:
         for w, end, mask, part, side in (
-            (h, t, m, tree.negatives, "incoming"),
-            (t, h, full ^ m, tree.positives, "outgoing"),
+            (h, t, m, tree.negative_mask, "incoming"),
+            (t, h, full ^ m, tree.positive_mask, "outgoing"),
         ):
-            bit, row = 1 << index[w], paths[index[end]]
-            if w in part and _span(tree, mask) & bit:
-                reason = f"{side} set at node {[w]} spans several components"
+            bit, row = 1 << w, paths[end]
+            deleted = part & bit
+            if deleted and _span(tree, mask) & bit:
+                reason = f"{side} set at node {[tree.standard[w]]} spans several components"
                 return SpineCheck(False, reason)
             seen = far_ends.setdefault((w, side), [])
-            if seen and (w not in part or any(not row[e] & bit for e in seen)):
-                reason = f"two {side} sets at node {[w]} share a component"
+            if seen and (not deleted or any(not row[e] & bit for e in seen)):
+                reason = f"two {side} sets at node {[tree.standard[w]]} share a component"
                 return SpineCheck(False, reason)
-            seen.append(index[end])
+            seen.append(end)
     return SpineCheck(True)
 
 
-def _maximal_spine(tree: SignedTree, arcs, labels: Optional[Mapping] = None) -> Spine:
-    """The maximal spine of sorted (tail, head, ...) arcs, in canonical order.
-
-    The arcs are sorted, so no sort of `Spine.make` is needed.  `labels`
-    maps each standard vertex to its singleton label, so that spines can
-    share their labels; by default they are made afresh.
-    """
-    if labels is None:
-        labels = {v: frozenset((v,)) for v in tree.standard}
-    return Spine(
-        tuple(labels[v] for v in tree.standard),
-        tuple((labels[arc[0]], labels[arc[1]]) for arc in arcs),
-    )
-
-
-def _spine(tree: SignedTree, arcs: tuple, labels: Optional[Mapping] = None) -> Spine:
-    """The maximal spine of sorted source-mask arcs, checked by `_check_masks`."""
+def _checked(tree: SignedTree, arcs: tuple, what: str) -> tuple:
+    """The index arcs, once `_check_masks` accepts them; else `InvalidSpine`."""
     check = _check_masks(tree, arcs)
     if not check:
-        raise InvalidSpine(f"flip produced an invalid spine: {check.reason}")
-    return _maximal_spine(tree, arcs, labels)
+        raise InvalidSpine(f"{what}: {check.reason}")
+    return arcs
+
+
+def _singleton_labels(vertices: tuple) -> tuple:
+    """The singleton label of each vertex, in order: the nodes of a maximal spine."""
+    return tuple(frozenset((v,)) for v in vertices)
+
+
+def _maximal_spine(labels: tuple, arcs) -> Spine:
+    """The maximal spine of sorted index arcs on shared `_singleton_labels`.
+
+    Indices ascend with the vertices, so the arcs need no sort of `Spine.make`.
+    """
+    return Spine(labels, tuple((labels[arc[0]], labels[arc[1]]) for arc in arcs))
 
 
 def _checked_arcs(tree: SignedTree, spine: Spine) -> tuple:
-    """The (tail, head, source mask) arcs of a maximal spine, in its arc order.
-
-    Raises `InvalidSpine` unless `_check_masks` accepts them.
-    """
+    """The index arcs of a maximal spine, in its arc order, checked by `_check_masks`."""
     if not spine.vertices <= tree.standard_set:
         raise InvalidSpine("spine labels are not standard vertices of the tree")
-    arcs = _masked(tree, [(t, h) for (t,), (h,) in spine.arcs])
-    check = _check_masks(tree, arcs)
-    if not check:
-        raise InvalidSpine(f"invalid spine: {check.reason}")
-    return arcs
+    masks = _label_source_masks(_singleton_labels(tree.standard), spine.arcs)
+    if masks is None:
+        raise InvalidSpine("arcs do not form a tree on the standard vertices")
+    index = tree.standard_index
+    arcs = tuple((index[t], index[h], m) for ((t,), (h,)), m in zip(spine.arcs, masks))
+    return _checked(tree, arcs, "invalid spine")
 
 
 def flip_arc(tree: SignedTree, spine: Spine, arc: tuple) -> Spine:
@@ -422,61 +417,71 @@ def flip_arc(tree: SignedTree, spine: Spine, arc: tuple) -> Spine:
 
     The arc u -> v is reversed, and one arc at each end may move (see
     `_exchange`): the nested set changes in exactly one block.  The spine
-    is checked on its mask arcs first, since `_exchange` assumes a valid one.
+    is checked on its index arcs first: `_exchange` assumes a valid one.
     """
     if not spine.is_maximal:
         raise NotMaximal("flips are defined on maximal spines")
     tail, head = (frozenset(arc[0]), frozenset(arc[1]))
     if (tail, head) not in set(spine.arcs):
         raise UnknownArc(f"no arc {arc!r}")
-    arcs = _checked_arcs(tree, spine)
-    return _spine(tree, _exchange(tree, arcs, spine.arcs.index((tail, head))))
+    arcs = _exchange(tree, _checked_arcs(tree, spine), spine.arcs.index((tail, head)))
+    flipped = _checked(tree, arcs, "flip produced an invalid spine")
+    return _maximal_spine(_singleton_labels(tree.standard), flipped)
 
 
 @dataclass(frozen=True)
 class FlipGraph:
-    """The maximal spines of a tree and the flips between them."""
+    """The maximal spines of a tree, as index arcs, and the flips between them."""
 
-    spines: tuple  # canonically sorted
+    vertices: tuple  # the standard vertices: index i stands for vertices[i]
     neighbors: tuple  # per spine, the index of the flip across each of its arcs
-    arcs: tuple  # per spine, its sorted (tail, head, source mask) arcs, as `spine.arcs`
+    arcs: tuple  # per spine, its sorted index arcs; the spines sort by their (tail, head)
+
+    @cached_property
+    def spines(self) -> tuple:
+        """The maximal spines, canonically sorted, built on first read."""
+        labels = _singleton_labels(self.vertices)
+        return tuple(_maximal_spine(labels, arcs) for arcs in self.arcs)
 
 
 @tree_cached
 def flip_graph(tree: SignedTree) -> FlipGraph:
     """All maximal spines and their flips, by breadth-first search over flips.
 
-    Seeded at the spine of the canonical vertex order; the flip graph is
+    Seeded at the sweep of the canonical vertex order; the flip graph is
     connected, so the search is exhaustive and output-linear.  The search
-    runs on source-mask arcs: every flip is made exactly once, by
-    `_exchange`, and keyed by its nested set (the set of its source masks).
-    Each new spine is checked once on its mask arcs (`_check_masks`); a
+    runs on index arcs and builds no `Spine`: every flip is made exactly
+    once, by `_exchange`, and keyed by its nested set (the sorted tuple of
+    its source masks).  Each new spine is checked once (`_check_masks`); a
     flip landing on a nested set already found must reproduce the stored
     arcs.
     """
     from .fans import _sweep
 
-    labels = {v: frozenset({v}) for v in tree.standard}
-    seed = _masked(tree, _sweep(tree, tree.standard))
-    found = {frozenset(m for *_, m in seed): 0}  # nested set -> discovery number
+    pairs = _sweep(tree, range(tree.nu))
+    seed = tuple((t, h, m) for (t, h), m in zip(pairs, _source_masks(tree.nu, pairs)))
+    found = {tuple(sorted(m for *_, m in seed)): 0}  # nested set -> discovery number
     queue = [seed]  # the arcs of each spine, by discovery number
-    flips = []  # per discovery number: the spine and the numbers of its flips
+    flips = []  # per discovery number, the numbers of its flips
     for arcs in queue:
+        _checked(tree, arcs, "flip produced an invalid spine")
         targets = []
         for k in range(len(arcs)):
             flipped = _exchange(tree, arcs, k)
-            j = found.setdefault(frozenset(m for *_, m in flipped), len(queue))
+            j = found.setdefault(tuple(sorted(m for *_, m in flipped)), len(queue))
             if j == len(queue):
                 queue.append(flipped)
             elif queue[j] != flipped:
                 raise InvalidSpine("two spines share one nested set")
             targets.append(j)
-        flips.append((_spine(tree, arcs, labels), targets))
-    ranked = sorted(range(len(queue)), key=lambda i: [arc[:2] for arc in queue[i]])
+        flips.append(targets)
+    del found  # freed before the ranking
+    nu = tree.nu  # the spines sort by their (tail, head) pairs, keyed small as t * nu + h
+    ranked = sorted(range(len(queue)), key=lambda i: [t * nu + h for t, h, _ in queue[i]])
     rank = {i: r for r, i in enumerate(ranked)}
     return FlipGraph(
-        tuple(flips[i][0] for i in ranked),
-        tuple(tuple(rank[j] for j in flips[i][1]) for i in ranked),
+        tree.standard,
+        tuple(tuple(rank[j] for j in flips[i]) for i in ranked),
         tuple(queue[i] for i in ranked),
     )
 
@@ -637,10 +642,8 @@ def blossom_counts(tree: SignedTree, spine: Spine) -> tuple:
     """
     result = []
     for label in spine.nodes:
-        neg = frozenset(v for v in label if v in tree.negatives)
-        pos = frozenset(v for v in label if v in tree.positives)
-        req_in = len(open_components(tree, neg))
-        req_out = len(open_components(tree, pos))
+        req_in = len(open_components(tree, label & tree.negatives))
+        req_out = len(open_components(tree, label & tree.positives))
         act_in = len(spine.incoming(label))
         act_out = len(spine.outgoing(label))
         if act_in > req_in or act_out > req_out:

@@ -227,6 +227,16 @@ class SignedTree:
             rows.append(tuple(row))
         return tuple(rows)
 
+    @cached_property
+    def negative_mask(self) -> int:
+        """The negative standard vertices as a mask (bits as in `standard_index`)."""
+        return sum(1 << i for i, v in enumerate(self.standard) if v in self.negatives)
+
+    @cached_property
+    def positive_mask(self) -> int:
+        """The positive standard vertices as a mask (bits as in `standard_index`)."""
+        return sum(1 << i for i, v in enumerate(self.standard) if v in self.positives)
+
     def component_containing(self, deleted: Iterable, v) -> frozenset:
         deleted = frozenset(deleted)
         if v in deleted:

@@ -71,39 +71,33 @@ def increasing_flip_digraph(tree: SignedTree, base: Iterable) -> FlipDigraph:
     source and the sweep of the reversed base as unique sink.
     """
     base = _check_order(tree, base)
-    pos = {v: i for i, v in enumerate(base)}
+    pos, standard = _positions(tree, base), tree.standard
     graph = flip_graph(tree)
     spines = graph.spines
     flips = set()
     for i, (arcs, targets) in enumerate(zip(graph.arcs, graph.neighbors)):
         for (u, v, _), j in zip(arcs, targets):
             if pos[u] < pos[v]:
-                flips.add((i, j, (u, v)))
+                flips.add((i, j, (standard[u], standard[v])))
             else:
-                flips.add((j, i, (v, u)))
+                flips.add((j, i, (standard[v], standard[u])))
     arcs = tuple(sorted(flips))
 
-    indeg = {i: 0 for i in range(len(spines))}
-    outdeg = {i: 0 for i in range(len(spines))}
-    succs = {i: [] for i in range(len(spines))}
+    indeg, succs = [0] * len(spines), [[] for _ in spines]
     for a, b, _ in arcs:
         indeg[b] += 1
-        outdeg[a] += 1
         succs[a].append(b)
-    sources = [i for i in indeg if indeg[i] == 0]
-    sinks = [i for i in outdeg if outdeg[i] == 0]
+    sources = [i for i, d in enumerate(indeg) if not d]
+    sinks = [i for i, out in enumerate(succs) if not out]
     if len(sources) != 1 or len(sinks) != 1:
         raise VerificationFailure("flip digraph must have one source and one sink")
-    # Kahn's algorithm certifies acyclicity
-    remaining = dict(indeg)
-    queue = [i for i in remaining if remaining[i] == 0]
-    visited = 0
+    # Kahn's algorithm certifies acyclicity: it takes every spine
+    queue, visited = list(sources), 0
     while queue:
-        node = queue.pop()
         visited += 1
-        for succ in succs[node]:
-            remaining[succ] -= 1
-            if remaining[succ] == 0:
+        for succ in succs[queue.pop()]:
+            indeg[succ] -= 1
+            if not indeg[succ]:
                 queue.append(succ)
     if visited != len(spines):
         raise VerificationFailure("flip digraph has a directed cycle")
@@ -114,10 +108,17 @@ def increasing_flip_digraph(tree: SignedTree, base: Iterable) -> FlipDigraph:
     return FlipDigraph(spines, arcs, sources[0], sinks[0])
 
 
+def _positions(tree: SignedTree, order: tuple) -> list:
+    """The position of each standard vertex in the order, by standard index."""
+    pos, index = [0] * tree.nu, tree.standard_index
+    for i, v in enumerate(order):
+        pos[index[v]] = i
+    return pos
+
+
 def h_vector(tree: SignedTree, base: Iterable) -> tuple:
     """h_l = number of maximal spines with exactly l base-ordered arcs."""
-    base = _check_order(tree, base)
-    pos = {v: i for i, v in enumerate(base)}
+    pos = _positions(tree, _check_order(tree, base))
     counts = [0] * tree.nu
     for arcs in flip_graph(tree).arcs:
         counts[sum(pos[u] < pos[v] for u, v, _ in arcs)] += 1
@@ -182,19 +183,18 @@ def congruence_diagnostics(
     """
     check_bound(tree, max_nu)
     base = _check_order(tree, base)
-    vertices = sorted(tree.standard)
-    base_pairs = [(u, v) for i, u in enumerate(base) for v in base[i + 1 :]]
-    pair_index = {p: i for i, p in enumerate(base_pairs)}
+    index = tree.standard_index
+    pairs = [(index[u], index[v]) for i, u in enumerate(base) for v in base[i + 1 :]]
+    base_pairs = [(i, j, 1 << k) for k, (i, j) in enumerate(pairs)]  # u before v in base
 
     def inv_mask(order: tuple) -> int:
-        pos = {v: i for i, v in enumerate(order)}
-        mask = 0
-        for (u, v), i in pair_index.items():
-            if pos[v] < pos[u]:
-                mask |= 1 << i
+        pos, mask = _positions(tree, order), 0
+        for i, j, bit in base_pairs:
+            if pos[j] < pos[i]:
+                mask |= bit
         return mask
 
-    all_orders = list(permutations(vertices))
+    all_orders = list(permutations(tree.standard))
     masks = {order: inv_mask(order) for order in all_orders}
 
     spines = enumerate_maximal_spines(tree)

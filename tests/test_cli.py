@@ -301,6 +301,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: nu = 21 exceeds the bound 20\n"
 
+    def test_exhausted_memory_is_bad_input(self, tripod_file, monkeypatch, capsys):
+        from arbora import blocks
+
+        def exhausted(tree):
+            raise MemoryError
+
+        monkeypatch.setattr(blocks, "enumerate_blocks", exhausted)
+        code = main(["blocks", tripod_file])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("n", [11, 21])
     def test_barycenter_bound(self, n, tmp_path, capsys):
         path = tmp_path / f"path{n}.json"

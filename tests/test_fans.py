@@ -101,8 +101,9 @@ def assert_mask_sweep_agrees(tree):
     """The path-mask sweep gives the held-together sweep's spine, in canonical order."""
     for order in permutations(sorted(tree.standard)):
         expected = held_together_sweep(tree, order)
-        pairs = fans._sweep(tree, order)
-        assert pairs == [(t, h) for (t,), (h,) in expected.arcs], order
+        index = tree.standard_index
+        pairs = fans._sweep(tree, [index[v] for v in order])
+        assert pairs == [(index[t], index[h]) for (t,), (h,) in expected.arcs], order
         spine = kappa(tree, order)
         assert spine == expected, order
         assert spine.nodes == tuple(frozenset({v}) for v in tree.standard)
@@ -404,6 +405,16 @@ class TestAdjacentCongruence:
         with pytest.raises(NotAdjacent):
             adjacent_congruent(tripod_neg, (1, 2, 3, 4), (4, 3, 2, 1))
 
+    @pytest.mark.parametrize("order_b", [(1, 1, 4, 3), (2, 2, 3, 4), (2, 1, 3), (2, 1, 3, 4, 5)])
+    def test_invalid_order_b_comes_before_not_adjacent(self, tripod_neg, order_b):
+        # (1, 1, 4, 3) repeats a vertex and differs from order_a in three places
+        with pytest.raises(InvalidOrder):
+            adjacent_congruent(tripod_neg, (1, 2, 3, 4), order_b)
+
+    def test_equal_orders_are_not_adjacent(self, tripod_neg):
+        with pytest.raises(NotAdjacent):
+            adjacent_congruent(tripod_neg, (1, 2, 3, 4), (1, 2, 3, 4))
+
     @given(signed_trees(min_nu=2, max_nu=5))
     @settings(max_examples=15, deadline=None)
     def test_witness_rule_matches_sweep_equality(self, tree):
@@ -480,7 +491,7 @@ class TestFanCoverage:
         fixed = flip_graph(htree_eq).spines[0]
         inside = fiber(htree_eq, fixed)
         outside = [o for o in permutations(range(1, 7)) if o not in inside]
-        pairs = [(t, h) for (t,), (h,) in fixed.arcs]
+        pairs = [arc[:2] for arc in flip_graph(htree_eq).arcs[0]]
         monkeypatch.setattr(fans, "_sweep", lambda tree, order: pairs)
         with pytest.raises(VerificationFailure) as failure:
             fan_cover_check(htree_eq)

@@ -27,3 +27,35 @@ def test_script_runs(command):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def test_spine_peaks_reports_each_command(tmp_path, capsys):
+    import hashlib
+    import json
+
+    from arbora.cli import main
+
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "spine_peaks.py"), "5"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [line["command"] for line in lines] == ["flipgraph", "complex", "singletons"]
+    star = tmp_path / "star5.json"
+    star.write_text(
+        json.dumps(
+            {
+                "vertices": [{"id": i, "sign": "-"} for i in range(1, 6)],
+                "edges": [[1, i] for i in range(2, 6)],
+            }
+        )
+    )
+    for line in lines:
+        assert line["nu"] == 5 and line["exit"] == 0
+        assert line["peak_kib"] > 0 and line["seconds"] >= 0
+        assert main([line["command"], str(star)]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert line["stdout_sha256"] == hashlib.sha256(stdout).hexdigest()

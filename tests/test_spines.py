@@ -148,7 +148,10 @@ def frozenset_flip_arc(tree, spine, arc):
 
 
 def oracle_flip_graph(tree):
-    """Oracle: the breadth-first flip search on `frozenset_flip_arc`."""
+    """Oracle: the breadth-first flip search on `frozenset_flip_arc`.
+
+    Returns the flip graph on the oracle's index arcs and the oracle's spines.
+    """
     seed = kappa(tree, tuple(sorted(tree.standard)))
     found = {seed.key(): seed}
     flips = {}  # spine key -> the keys of its flips, aligned with its arcs
@@ -170,7 +173,8 @@ def oracle_flip_graph(tree):
     )
     index = {s.key(): i for i, s in enumerate(spines)}
     neighbors = tuple(tuple(index[k] for k in flips[s.key()]) for s in spines)
-    return FlipGraph(spines, neighbors, tuple(mask_arcs(tree, s) for s in spines))
+    arcs = tuple(mask_arcs(tree, s) for s in spines)
+    return FlipGraph(tree.standard, neighbors, arcs), spines
 
 
 def assert_flips_agree(tree):
@@ -182,7 +186,9 @@ def assert_flips_agree(tree):
             assert flipped == frozenset_flip_arc(tree, spine, arc), (tree, spine, arc)
             assert len(spine.key() - flipped.key()) == 1
             assert len(flipped.key() - spine.key()) == 1
-    assert graph == oracle_flip_graph(tree)
+    oracle, spines = oracle_flip_graph(tree)
+    assert graph == oracle
+    assert graph.spines == spines
 
 
 def fresh_tree(prefix):
@@ -219,12 +225,16 @@ def bfs_side_sets(spine):
 
 
 def mask_arcs(tree, spine):
-    """A maximal spine's arcs as sorted (tail, head, mask of the oracle side set)."""
+    """A maximal spine's index arcs: sorted (tail, head, mask of the oracle side set).
+
+    Ends and bits are standard indices.
+    """
     index, sides = tree.standard_index, bfs_side_sets(spine)
     arcs = []
     for tail, head in spine.arcs:
         mask = sum(1 << index[v] for v in sides[(tail, head)])
-        arcs.append((*tail, *head, mask))
+        (t,), (h,) = tail, head
+        arcs.append((index[t], index[h], mask))
     return tuple(sorted(arcs))
 
 
@@ -627,9 +637,11 @@ class TestFlipGraph:
 
         monkeypatch.setattr(spines, "_check_masks", counted)
         graph = flip_graph(tree)
+        index = tree.standard_index
         assert len(checked) == len(graph.spines) > 1
         assert set(checked) == {
-            tuple((t, h) for (t,), (h,) in spine.arcs) for spine in graph.spines
+            tuple((index[t], index[h]) for (t,), (h,) in spine.arcs)
+            for spine in graph.spines
         }
 
     def test_makes_no_validate_spine_call(self, monkeypatch):
@@ -692,6 +704,33 @@ class TestFlipGraph:
         for spine in spines:
             fans.fiber(tree, spine)
             assert "_side_sets" not in vars(spine) and "_incident" not in vars(spine)
+
+    def test_spines_are_built_on_demand(self, tmp_path, capsys):
+        from arbora import cli, complexes, geometry, weak_order
+        from arbora.fans import fiber
+        from arbora.trees import tree_to_json
+
+        ids = [f"lazy{i}" for i in range(5)]
+        edges = [(ids[0], ids[1]), (ids[1], ids[2]), (ids[1], ids[3]), (ids[3], ids[4])]
+        tree = build_tree(list(zip(ids, "+-+--")), edges)
+        path = tmp_path / "lazy.json"
+        path.write_text(json.dumps(tree_to_json(tree)))
+        complexes.complex_stats(tree)
+        weak_order.h_vector(tree, tuple(sorted(tree.standard)))
+        pairs = geometry.singleton_spines(tree)
+        assert cli.main(["complex", str(path)]) == 0
+        assert cli.main(["singletons", str(path)]) == 0
+        capsys.readouterr()
+        assert "spines" not in vars(flip_graph(tree))
+        # the directed paths are the spines with a single linear extension
+        expected = [
+            (spine, orders[0])
+            for spine in enumerate_maximal_spines(tree)
+            for orders in [fiber(tree, spine)]
+            if len(orders) == 1
+        ]
+        assert len(pairs) > 1
+        assert pairs == tuple(sorted(expected, key=lambda pair: pair[1]))
 
     def test_flip_disagreeing_with_stored_spine_raises(self, monkeypatch):
         from arbora import spines

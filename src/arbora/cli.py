@@ -14,7 +14,7 @@ import json
 import sys
 from itertools import permutations
 
-from .errors import ArboraError, VerificationFailure
+from .errors import ArboraError, PreconditionViolated, VerificationFailure
 from .trees import SignedTree, build_tree, check_bound, signature_classes, tree_from_json
 
 
@@ -24,8 +24,8 @@ from .trees import SignedTree, build_tree, check_bound, signature_classes, tree_
 ALL_ORDERS_MAX_NU = 6
 
 # `flipgraph`, `complex` and `singletons` hold every maximal spine: on a
-# 9-vertex star (109 601 spines) they peak at 232-638 MiB, and a 10-vertex
-# star has nine times as many spines, so about 2.1-5.6 GiB.
+# 9-vertex star (109 601 spines) they peak at 173-289 MiB, and a 10-vertex
+# star has nine times as many spines, so about 1.5-2.6 GiB.
 SPINES_MAX_NU = 9
 
 # `kappa` reads `SignedTree.path_masks`, the one separation table of the
@@ -114,7 +114,7 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_flipgraph(args) -> int:
-    from .spines import flip_graph, spine_to_json
+    from .spines import flip_graph
 
     tree = _load_tree(args.tree)
     check_bound(tree, SPINES_MAX_NU)
@@ -130,18 +130,17 @@ def cmd_flipgraph(args) -> int:
             sources = [[v for k, v in members if mask >> k & 1] for *_, mask in arcs]
             sources.sort(key=lambda s: (len(s), s))
             label = "|".join(",".join(map(str, source)) for source in sources)
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  s{i} [label="{label}"];')
         for i, j in flips:
             lines.append(f"  s{i} -- s{j};")
         lines.append("}")
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        _emit(
-            {
-                "spines": [spine_to_json(s) for s in graph.spines],
-                "flips": flips,
-            }
-        )
+        # as `spine_to_json` writes a maximal spine: the singletons by index, the index pairs
+        nodes = [{"id": i, "label": [v]} for i, v in enumerate(graph.vertices)]
+        spines = [{"nodes": nodes, "arcs": [[t, h] for t, h, _ in arcs]} for arcs in graph.arcs]
+        _emit({"spines": spines, "flips": flips})
     return 0
 
 
@@ -149,6 +148,9 @@ def cmd_minkowski(args) -> int:
     from .minkowski import minkowski_coefficients
 
     tree = _load_tree(args.tree)
+    joined = [v for v in tree.standard if "," in str(v)]
+    if joined:  # the keys join ids with ","
+        raise PreconditionViolated(f"minkowski keys need ids without ',', got {joined[0]!r}")
     table = minkowski_coefficients(tree, max_nu=args.max_nu, check=args.check)
     _emit(
         {

@@ -20,18 +20,16 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional
 
-from .blocks import _mask, enumerate_blocks, held_together
+from .blocks import _mask, _span, enumerate_blocks
 from .errors import NotMaximal, RecursionMismatch, failure_summary
 from .spines import Spine, _checked_arcs, _maximal_spine, _singleton_labels, flip_graph
 from .trees import (
-    Sign,
     SignedTree,
-    boundary_neighbors,
+    boundary_walk,
     check_bound,
     check_standard,
     signed_isomorphism,
     subset_key,
-    tree_cached,
 )
 
 
@@ -236,37 +234,43 @@ def common_vertices_para(tree: SignedTree) -> tuple:
     return tuple(sorted(results, key=lambda s: sorted(map(sorted, s.key()))))
 
 
+def _directed_path(nu: int, arcs: tuple) -> Optional[list]:
+    """The indices of a directed-path spine, walked from its one non-head, else None."""
+    successor = {t: h for t, h, _ in arcs}
+    heads = set(successor.values())
+    if len(successor) < len(arcs) or len(heads) < len(arcs):  # not a directed path
+        return None
+    path = [next(i for i in range(nu) if i not in heads)]
+    while path[-1] in successor:
+        path.append(successor[path[-1]])
+    return path
+
+
 def singleton_spines(tree: SignedTree) -> tuple:
     """Maximal spines that are directed paths, with their unique extensions.
 
-    A directed path has one linear extension, the path itself: it is read
-    off the index arcs from the one vertex that is no head.  Only the
-    spines returned are built.
+    A directed path has one linear extension, the path itself
+    (`_directed_path`).  Only the spines returned are built.
     """
     labels, standard = _singleton_labels(tree.standard), tree.standard
     results = []
     for arcs in flip_graph(tree).arcs:
-        successor = {t: h for t, h, _ in arcs}
-        heads = set(successor.values())
-        if len(successor) < len(arcs) or len(heads) < len(arcs):  # not a directed path
-            continue
-        path = [next(i for i in range(tree.nu) if i not in heads)]
-        while path[-1] in successor:
-            path.append(successor[path[-1]])
-        results.append((_maximal_spine(labels, arcs), tuple(standard[i] for i in path)))
+        path = _directed_path(tree.nu, arcs)
+        if path is not None:
+            results.append((_maximal_spine(labels, arcs), tuple(standard[i] for i in path)))
     return tuple(sorted(results, key=lambda pair: pair[1]))
 
 
 def singleton_count_recursive(tree: SignedTree) -> int:
     """Count the directed-path spines by the rooted boundary-walk recursion.
 
-    A root vertex contributes the count of the tree re-rooted at each of
-    its boundary neighbors with the old root phantomized; positive roots
-    whose remaining standard vertices straddle several components
-    contribute nothing.  The result is checked against direct enumeration.
+    A root vertex contributes the count rooted at each of its boundary
+    neighbors with the old root phantomized (`_rooted`).  The result is
+    checked against the directed paths among the flip graph's index arcs.
     """
-    total = sum(_xi_rooted(tree, root) for root in tree.standard)
-    direct = len(singleton_spines(tree))
+    memo = {}
+    total = sum(_rooted(tree, 0, root, memo) for root in range(tree.nu))
+    direct = sum(_directed_path(tree.nu, arcs) is not None for arcs in flip_graph(tree).arcs)
     if total != direct:
         raise RecursionMismatch(
             f"recursion gives {total}, direct enumeration {direct}"
@@ -274,40 +278,26 @@ def singleton_count_recursive(tree: SignedTree) -> int:
     return total
 
 
-def _root_feasible(tree: SignedTree, root) -> bool:
-    return root in tree.negatives or held_together(
-        tree, tree.standard_set - {root}, {root}
-    )
+def _rooted(tree: SignedTree, gone: int, root: int, memo: dict) -> int:
+    """The count rooted at index `root` with the vertices of the mask `gone` phantomized.
 
-
-@tree_cached
-def _xi_rooted(tree: SignedTree, root) -> int:
-    if not _root_feasible(tree, root):
-        return 0
-    if tree.nu == 1:
-        return 1
-    dropped = _phantomize_vertex(tree, root)
-    return sum(
-        _xi_rooted(dropped, v) for v in boundary_neighbors(tree, root)
-    )
-
-
-# Cached so that the smaller trees of the recursion, and with them their
-# memos, live as long as the tree: branches that phantomize the same
-# vertices in another order then share one count.
-@tree_cached
-def _phantomize_vertex(tree: SignedTree, vertex) -> SignedTree:
-    index = tree.vertices.index(vertex)
-    return SignedTree(
-        vertices=tree.vertices,
-        signs=tuple(
-            Sign.NEGATIVE if i == index else s for i, s in enumerate(tree.signs)
-        ),
-        phantoms=tuple(
-            True if i == index else ph for i, ph in enumerate(tree.phantoms)
-        ),
-        edges=tree.edges,
-    )
+    A positive root between two remaining standard vertices counts 0.  The
+    memo is a dict of one count: a cache on a closure would refer to itself
+    and keep the tree and its memo alive until the next garbage collection.
+    """
+    key = (gone, root)
+    if key not in memo:
+        rest = ((1 << tree.nu) - 1) & ~(gone | 1 << root)
+        if tree.positive_mask >> root & 1 and _span(tree, rest) >> root & 1:
+            memo[key] = 0
+        elif not rest:
+            memo[key] = 1
+        else:
+            reached, gone = boundary_walk(tree, gone, root), gone | 1 << root
+            memo[key] = sum(
+                _rooted(tree, gone, i, memo) for i in range(tree.nu) if reached >> i & 1
+            )
+    return memo[key]
 
 
 def barycenter(tree: SignedTree) -> dict:

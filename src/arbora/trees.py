@@ -696,38 +696,42 @@ def boundary_graph(tree: SignedTree) -> BoundaryGraph:
     return BoundaryGraph(tuple(nodes), tuple(edges), lifts)
 
 
-def boundary_neighbors(tree: SignedTree, root) -> frozenset:
-    """Standard vertices visible from the root along the boundary walk.
+def boundary_walk(tree: SignedTree, gone: int, root: int) -> int:
+    """The standard vertices seen from standard index `root` on the boundary, as a mask.
 
-    The walk starts at the root's lift, stops whenever it reaches the lift
-    of another standard vertex, and never passes through a lift.  The top
-    copy of the boundary is opaque: the free point above another standard
-    negative vertex cannot be crossed, while the bottom copy (under the
-    positive vertices), phantom columns, and the root's own column are all
-    traversable.  The asymmetry mirrors the bottom-up sweep that puts the
-    root first; it is what makes the singleton recursion count correctly.
+    The walk visits the (vertex, side) pairs of `boundary_graph`, side 1 the
+    top copy, and treats the vertices of the mask `gone` as phantoms.  It
+    starts at the root's lift, stops at the lift of any other standard
+    vertex, and never passes through a lift.  The top copy is opaque: the
+    free point above another standard negative vertex cannot be crossed,
+    while the bottom copy (under the positive vertices), phantom columns and
+    the root's own column are traversable.  The asymmetry mirrors the
+    bottom-up sweep that puts the root first; it is what makes the singleton
+    recursion count correctly.
     """
+    index, adjacency, positives = tree.standard_index, tree.adjacency, tree.positive_mask
+    others = ~(gone | 1 << root)  # the standard vertices that stop the walk
+    start = (tree.standard[root], positives >> root & 1)
+    reached, seen, stack = 0, {start}, [start]
+    while stack:
+        v, top = stack.pop()
+        i = index.get(v)
+        if i is not None and others >> i & 1:
+            if top == positives >> i & 1:  # its lift
+                reached |= 1 << i
+            if top or not positives >> i & 1:  # its lift, or the opaque top
+                continue
+        ahead = [(w, top) for w in adjacency[v]]
+        if len(ahead) <= 1:  # a leaf joins its two sides
+            ahead.append((v, 1 - top))
+        stack += [node for node in ahead if node not in seen]
+        seen.update(ahead)
+    return reached
+
+
+def boundary_neighbors(tree: SignedTree, root) -> frozenset:
+    """`boundary_walk` from a standard vertex of the tree as it is, as a vertex set."""
     if root not in tree.standard_set:
         raise RootIsPhantom(f"root {root!r} must be a standard vertex")
-    graph = boundary_graph(tree)
-    start = graph.lift_of[root]
-    lifted_nodes = {node: v for v, node in graph.lifts}
-
-    reached = set()
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for nxt in graph.adjacency[node]:
-            if nxt in seen:
-                continue
-            hit = lifted_nodes.get(nxt)
-            if hit is not None and hit != root:
-                reached.add(hit)
-                continue
-            vertex, side = nxt
-            if side == TOP and vertex != root and not tree.is_phantom(vertex):
-                continue
-            seen.add(nxt)
-            stack.append(nxt)
-    return frozenset(reached)
+    reached = boundary_walk(tree, 0, tree.standard_index[root])
+    return frozenset(v for i, v in enumerate(tree.standard) if reached >> i & 1)

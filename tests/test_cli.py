@@ -114,6 +114,14 @@ class TestCommands:
         assert code == 0
         assert out.startswith("graph flips {")
 
+    def test_flipgraph_dot_escapes_labels(self, tmp_path, capsys):
+        path = tmp_path / "quoted.json"
+        document = {"vertices": [{"id": 'x"y'}, {"id": "b\\c"}], "edges": [['x"y', "b\\c"]]}
+        path.write_text(json.dumps(document))
+        code, out = run_cli(["flipgraph", str(path), "--dot"], capsys)
+        assert code == 0
+        assert out.splitlines()[1:3] == ['  s0 [label="b\\\\c"];', '  s1 [label="x\\"y"];']
+
     def test_minkowski_check(self, tripod_pos_file, capsys):
         code, out = run_cli(["minkowski", tripod_pos_file, "--check"], capsys)
         assert code == 0
@@ -270,6 +278,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+    def test_minkowski_refuses_ids_that_join_keys(self, tmp_path, capsys):
+        # the keys join ids with ",": {a, b} and {"a,b"} would both be "a,b"
+        path = tmp_path / "comma.json"
+        ids = ["a", "b", "a,b"]  # the path a - b - "a,b"
+        document = {"vertices": [{"id": v} for v in ids], "edges": [ids[:2], ids[1:]]}
+        path.write_text(json.dumps(document))
+        code = main(["minkowski", str(path), "--check"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_signature_sweep_refuses_phantom_tree(self, tmp_path, capsys):
         path = tmp_path / "phantom.json"

@@ -474,6 +474,15 @@ class TestSingletons:
         )
         assert singleton_count_recursive(spider7) == len(singleton_spines(spider7))
 
+    def test_recursion_builds_no_spine(self, tripod_neg, monkeypatch):
+        from arbora import geometry
+
+        def unused(tree):
+            raise AssertionError("the recursion lists the directed-path spines")
+
+        monkeypatch.setattr(geometry, "singleton_spines", unused)
+        assert singleton_count_recursive(tripod_neg) == 12
+
     @given(signed_trees(max_nu=5))
     @settings(max_examples=20, deadline=None)
     def test_recursion_matches_enumeration(self, tree):

@@ -18,12 +18,15 @@ from arbora.trees import (
     PROP18_MODES,
     FlipAllSigns,
     FlipLeafSign,
+    TOP,
     Relabel,
     Sign,
+    SignedTree,
     SwitchAdjacent,
     build_tree,
     boundary_graph,
     boundary_neighbors,
+    boundary_walk,
     canonical_edge,
     phantom_split,
     signature_classes,
@@ -441,7 +444,51 @@ class TestPhantomSplit:
             phantom_split(tripod_neg, {1, 3})
 
 
+def graph_walk(tree, root) -> frozenset:
+    """The boundary walk run on `boundary_graph`: the oracle of `boundary_walk`."""
+    graph = boundary_graph(tree)
+    start = graph.lift_of[root]
+    lifted_nodes = {node: v for v, node in graph.lifts}
+    reached, seen, stack = set(), {start}, [start]
+    while stack:
+        node = stack.pop()
+        for nxt in graph.adjacency[node]:
+            if nxt in seen:
+                continue
+            hit = lifted_nodes.get(nxt)
+            if hit is not None and hit != root:
+                reached.add(hit)
+                continue
+            vertex, side = nxt
+            if side == TOP and vertex != root and not tree.is_phantom(vertex):
+                continue
+            seen.add(nxt)
+            stack.append(nxt)
+    return frozenset(reached)
+
+
+def phantomized(tree, gone: int) -> SignedTree:
+    """The tree with the standard vertices of the mask `gone` made phantoms."""
+    dropped = {v for i, v in enumerate(tree.standard) if gone >> i & 1}
+    return SignedTree(
+        tree.vertices,
+        tuple(Sign.NEGATIVE if v in dropped else s for v, s in zip(tree.vertices, tree.signs)),
+        tuple(ph or v in dropped for v, ph in zip(tree.vertices, tree.phantoms)),
+        tree.edges,
+    )
+
+
 class TestBoundaryWalk:
+    @given(signed_trees(max_nu=7) | phantom_trees(), st.data())
+    @settings(max_examples=80)
+    def test_mask_walk_equals_graph_walk(self, tree, data):
+        for root, vertex in enumerate(tree.standard):
+            assert boundary_neighbors(tree, vertex) == graph_walk(tree, vertex)
+            gone = data.draw(st.integers(0, (1 << tree.nu) - 1)) & ~(1 << root)
+            reached = boundary_walk(tree, gone, root)
+            expected = graph_walk(phantomized(tree, gone), vertex)
+            assert {v for i, v in enumerate(tree.standard) if reached >> i & 1} == expected
+
     def test_p3_all_negative(self):
         tree = build_tree([(1, "-"), (2, "-"), (3, "-")], [(1, 2), (2, 3)])
         assert boundary_neighbors(tree, 2) == frozenset({1, 3})
@@ -503,6 +550,19 @@ def lonely_tree():
 
 
 class TestTreeCache:
+    def test_singleton_recursion_adds_no_tree_to_the_memo(self):
+        from arbora import trees
+        from arbora.geometry import singleton_count_recursive
+
+        tree = lonely_tree()
+        assert singleton_count_recursive(tree) == 12
+        keyed = [key for key in trees._MEMO.keys() if key.vertices == tree.vertices]
+        assert keyed == [tree]
+        assert {fn.__name__ for fn, _ in trees._MEMO[tree]} == {"flip_graph"}
+        freed = weakref.ref(tree)
+        del tree, keyed
+        assert freed() is None  # no reference cycle of the recursion holds the tree
+
     def test_flip_graph_dies_with_its_tree(self):
         from arbora.spines import flip_graph
 

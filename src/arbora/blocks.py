@@ -13,7 +13,6 @@ smallest subtree spanning it, the union of the paths from one member.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -24,11 +23,10 @@ from .errors import (
     UnknownEdge,
     UnknownVertex,
 )
-from .trees import SignedTree, build_tree, canonical_edge, subset_key, tree_cached
+from .trees import Record, SignedTree, build_tree, canonical_edge, subset_key, tree_cached
 
 
-@dataclass(frozen=True)
-class BlockCheck:
+class BlockCheck(Record):
     ok: bool
     failed: Optional[str] = None  # "negative" or "positive" convexity
 
@@ -119,8 +117,7 @@ def enumerate_blocks(tree: SignedTree) -> tuple:
     return tuple(sorted(found, key=subset_key))
 
 
-@dataclass(frozen=True)
-class OpenSubtree:
+class OpenSubtree(Record):
     """A connected piece left after deleting vertices, or a fully deleted edge.
 
     When the interior is empty the piece is an open edge and the boundary
@@ -135,8 +132,7 @@ class OpenSubtree:
         return (subset_key(self.interior), subset_key(self.boundary))
 
 
-@dataclass(frozen=True)
-class SignedTube:
+class SignedTube(Record):
     w_minus: frozenset
     w_plus: frozenset
 

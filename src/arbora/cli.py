@@ -5,6 +5,15 @@ writes one JSON document (DOT for `flipgraph --dot`) to stdout.  Exit code
 0 means success, 1 an input problem (a usage error too), 2 a failed
 verification.  Output is deterministic byte for byte.  Each command imports
 the modules it uses, so starting the front-end loads only the tree layer.
+
+A cold start loads `argparse`, `json`, `arbora.errors` and `arbora.trees`,
+whose own imports are `enum`, `functools`, `itertools`, `operator`,
+`typing`, `weakref` and `collections`.  The package's records subclass
+`trees.Record`, so no command loads `dataclasses` (which pulls in `inspect`,
+`ast`, `dis` and `tokenize`), and only `barycenter` and `minkowski` (and
+`geometry.para_summands`) load `fractions`.  `polytope` and `flipgraph` write
+each maximal spine from the flip graph's index arcs, and `singletons` lists
+the orders of its directed paths, so none of them builds a `Spine`.
 """
 
 from __future__ import annotations
@@ -24,8 +33,8 @@ from .trees import SignedTree, build_tree, check_bound, signature_classes, tree_
 ALL_ORDERS_MAX_NU = 6
 
 # `flipgraph`, `complex` and `singletons` hold every maximal spine: on a
-# 9-vertex star (109 601 spines) they peak at 173-289 MiB, and a 10-vertex
-# star has nine times as many spines, so about 1.5-2.6 GiB.
+# 9-vertex star (109 601 spines) they peak at 117-289 MiB, and a 10-vertex
+# star has nine times as many spines, so about 1.0-2.6 GiB.
 SPINES_MAX_NU = 9
 
 # `kappa` reads `SignedTree.path_masks`, the one separation table of the
@@ -81,26 +90,33 @@ def cmd_complex(args) -> int:
     return 0
 
 
+def _maximal_spines_json(graph) -> list:
+    """The flip graph's spines as `spine_to_json` writes them, without building a `Spine`.
+
+    A maximal spine's nodes are the singletons of the standard vertices by
+    index, one list shared by every spine, and its arcs are its index pairs.
+    """
+    nodes = [{"id": i, "label": [v]} for i, v in enumerate(graph.vertices)]
+    return [{"nodes": nodes, "arcs": [[t, h] for t, h, _ in arcs]} for arcs in graph.arcs]
+
+
 def cmd_polytope(args) -> int:
-    from .geometry import realize_polytope
-    from .spines import spine_to_json
+    from .geometry import _realization
+    from .spines import flip_graph
 
     tree = _load_tree(args.tree)
-    description = realize_polytope(tree, max_nu=args.max_nu)
-    order = sorted(tree.standard)
+    points, facets, certificate = _realization(tree, args.max_nu)
+    spines = _maximal_spines_json(flip_graph(tree))
     document = {
         "vertices": [
-            {"spine": spine_to_json(spine), "coords": [point[v] for v in order]}
-            for spine, point in description.vertices
+            {"spine": spine, "coords": list(point.values())}
+            for spine, point in zip(spines, points)
         ],
-        "facets": [
-            {"block": _ids(block), "rhs": half.rhs}
-            for block, half in description.facets
-        ],
-        "certificate": "PASS" if description.certificate else "FAIL",
+        "facets": [{"block": _ids(block), "rhs": half.rhs} for block, half in facets],
+        "certificate": "PASS" if certificate else "FAIL",
     }
     _emit(document)
-    return 0 if description.certificate else 2
+    return 0 if certificate else 2
 
 
 def cmd_kappa(args) -> int:
@@ -137,10 +153,7 @@ def cmd_flipgraph(args) -> int:
         lines.append("}")
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        # as `spine_to_json` writes a maximal spine: the singletons by index, the index pairs
-        nodes = [{"id": i, "label": [v]} for i, v in enumerate(graph.vertices)]
-        spines = [{"nodes": nodes, "arcs": [[t, h] for t, h, _ in arcs]} for arcs in graph.arcs]
-        _emit({"spines": spines, "flips": flips})
+        _emit({"spines": _maximal_spines_json(graph), "flips": flips})
     return 0
 
 
@@ -163,19 +176,13 @@ def cmd_minkowski(args) -> int:
 
 
 def cmd_singletons(args) -> int:
-    from .geometry import singleton_count_recursive, singleton_spines
+    from .geometry import singleton_count_recursive, singleton_orders
 
     tree = _load_tree(args.tree)
     check_bound(tree, SPINES_MAX_NU)
-    pairs = singleton_spines(tree)
+    orders = [list(order) for order, _ in singleton_orders(tree)]
     recursive = singleton_count_recursive(tree)
-    _emit(
-        {
-            "count": len(pairs),
-            "recursive_count": recursive,
-            "orders": [list(order) for _, order in pairs],
-        }
-    )
+    _emit({"count": len(orders), "recursive_count": recursive, "orders": orders})
     return 0
 
 

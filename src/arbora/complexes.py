@@ -13,13 +13,12 @@ members.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .blocks import _mask, enumerate_blocks
 from .errors import NotABuildingBlock
 from .spines import flip_graph
-from .trees import SignedTree
+from .trees import Record, SignedTree
 
 
 def _numbered_facets(tree: SignedTree) -> tuple:
@@ -60,8 +59,7 @@ def enumerate_nested_sets(tree: SignedTree, max_only: bool = False) -> tuple:
     return _as_faces(blocks, facets if max_only else _faces(facets))
 
 
-@dataclass(frozen=True)
-class ComplexStats:
+class ComplexStats(Record):
     f_complex: tuple  # faces by cardinality, starting at the empty face
     incidence_profile: tuple  # sorted facet counts per vertex of the complex
 
@@ -92,8 +90,7 @@ def link_faces(tree: SignedTree, block: Iterable) -> tuple:
     return _as_faces(blocks, _faces(f ^ bit for f in facets if f & bit))
 
 
-@dataclass(frozen=True)
-class PseudoManifoldCheck:
+class PseudoManifoldCheck(Record):
     ok: bool
     witness: Optional[tuple] = None  # a ridge with its facet count
 

@@ -27,7 +27,6 @@ mod 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 from typing import Iterable
@@ -42,7 +41,7 @@ from .errors import (
     failure_summary,
 )
 from .spines import Spine, _maximal_spine, _singleton_labels, flip_graph
-from .trees import SignedTree, canonical_edge, check_bound, tree_cached
+from .trees import Record, SignedTree, canonical_edge, check_bound, tree_cached
 
 
 def _check_order(tree: SignedTree, order: Iterable) -> tuple:
@@ -201,8 +200,7 @@ def orientation_of_order(tree: SignedTree, order: Iterable) -> dict:
     return orientation
 
 
-@dataclass(frozen=True)
-class FanCertificate:
+class FanCertificate(Record):
     passed: bool
     cones: int
     order_count: int

@@ -15,8 +15,6 @@ they refuse a phantom tree.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional
 
@@ -24,6 +22,7 @@ from .blocks import _mask, _span, enumerate_blocks
 from .errors import NotMaximal, RecursionMismatch, failure_summary
 from .spines import Spine, _checked_arcs, _maximal_spine, _singleton_labels, flip_graph
 from .trees import (
+    Record,
     SignedTree,
     boundary_walk,
     check_bound,
@@ -55,7 +54,7 @@ def vertex_point(tree: SignedTree, spine: Spine) -> dict:
 
 
 def _point(tree: SignedTree, arcs: tuple) -> dict:
-    """`vertex_point` on the checked index arcs of a spine."""
+    """`vertex_point` on the checked index arcs of a spine, keyed in standard-index order."""
     nu, negatives, positives = tree.nu, tree.negative_mask, tree.positive_mask
     branches = [[] for _ in range(nu)]
     for tail, head, mask in arcs:
@@ -71,14 +70,12 @@ def _point(tree: SignedTree, arcs: tuple) -> dict:
     return coords
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(Record):
     support: frozenset
     rhs: int  # sense: sum over support >= rhs
 
 
-@dataclass(frozen=True)
-class RealizationCertificate:
+class RealizationCertificate(Record):
     passed: bool
     witness: Optional[tuple] = None  # the first failure, (kind, witness)
     failures: tuple = ()  # (kind, count, first witness) per failure kind, by kind
@@ -90,8 +87,7 @@ class RealizationCertificate:
 MAX_NU = 10  # bound of realize_polytope and barycenter, which build every maximal spine
 
 
-@dataclass(frozen=True)
-class PolytopeDescription:
+class PolytopeDescription(Record):
     vertices: tuple  # (spine, coords dict) pairs
     facets: tuple  # (block, HalfSpace) pairs
     certificate: RealizationCertificate
@@ -99,16 +95,22 @@ class PolytopeDescription:
 
 def realize_polytope(tree: SignedTree, max_nu: int = MAX_NU) -> PolytopeDescription:
     """Vertex and facet descriptions with a verification certificate."""
+    points, facets, certificate = _realization(tree, max_nu)
+    return PolytopeDescription(tuple(zip(flip_graph(tree).spines, points)), facets, certificate)
+
+
+def _realization(tree: SignedTree, max_nu: int) -> tuple:
+    """`realize_polytope` without building a `Spine`: (points, facets, certificate).
+
+    The points are those of the flip graph's spines, in its order.
+    """
     check_bound(tree, max_nu)
-    graph = flip_graph(tree)
-    points = [_point(tree, arcs) for arcs in graph.arcs]
+    points = [_point(tree, arcs) for arcs in flip_graph(tree).arcs]
     facets = tuple(
         (block, HalfSpace(block, comb(len(block) + 1, 2)))
         for block in enumerate_blocks(tree)
     )
-    return PolytopeDescription(
-        tuple(zip(graph.spines, points)), facets, _certify(tree, points)
-    )
+    return points, facets, _certify(tree, points)
 
 
 def verify_realization(tree: SignedTree) -> RealizationCertificate:
@@ -165,8 +167,7 @@ def parallel_facets(tree: SignedTree) -> tuple:
     return tuple(sorted(pairs, key=lambda p: tuple(sorted(p[0]))))
 
 
-@dataclass(frozen=True)
-class ParaSummands:
+class ParaSummands(Record):
     edge_weights: tuple  # (edge, weight) pairs
     z: tuple  # (subset, Fraction) pairs over nonempty subsets
     y: tuple  # (subset, Fraction) pairs, nonzero entries only
@@ -178,6 +179,8 @@ def para_summands(tree: SignedTree, max_nu: int = 12) -> ParaSummands:
     The weight of an edge is the number of tree paths through it, i.e. the
     product of the sizes of the two components it separates.
     """
+    from fractions import Fraction
+
     check_standard(tree, "the bounding parallelepiped")
     check_bound(tree, max_nu)
     nu = tree.nu
@@ -252,13 +255,21 @@ def singleton_spines(tree: SignedTree) -> tuple:
     A directed path has one linear extension, the path itself
     (`_directed_path`).  Only the spines returned are built.
     """
-    labels, standard = _singleton_labels(tree.standard), tree.standard
-    results = []
+    labels = _singleton_labels(tree.standard)
+    return tuple((_maximal_spine(labels, arcs), order) for order, arcs in singleton_orders(tree))
+
+
+def singleton_orders(tree: SignedTree) -> list:
+    """The (order, index arcs) pairs of the directed-path spines, sorted by order.
+
+    `singleton_spines` without building a `Spine`.
+    """
+    standard, found = tree.standard, []
     for arcs in flip_graph(tree).arcs:
         path = _directed_path(tree.nu, arcs)
         if path is not None:
-            results.append((_maximal_spine(labels, arcs), tuple(standard[i] for i in path)))
-    return tuple(sorted(results, key=lambda pair: pair[1]))
+            found.append((tuple(standard[i] for i in path), arcs))
+    return sorted(found, key=lambda pair: pair[0])
 
 
 def singleton_count_recursive(tree: SignedTree) -> int:
@@ -302,6 +313,8 @@ def _rooted(tree: SignedTree, gone: int, root: int, memo: dict) -> int:
 
 def barycenter(tree: SignedTree) -> dict:
     """Exact vertex barycenter of the realization, under the polytope's bound."""
+    from fractions import Fraction
+
     check_bound(tree, MAX_NU)
     spine_arcs = flip_graph(tree).arcs
     totals = {v: Fraction(0) for v in tree.standard}

@@ -14,7 +14,6 @@ oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -23,7 +22,7 @@ from typing import Iterable
 from .errors import InvalidPath, InversionMismatch
 from .fans import _sweep, kappa_extended
 from .spines import Spine, _source_masks, one_node_spine
-from .trees import SignedTree, check_bound, check_standard, subset_key
+from .trees import Record, SignedTree, check_bound, check_standard, subset_key
 
 
 def two_level_spine(tree: SignedTree, subset: Iterable) -> Spine:
@@ -90,8 +89,7 @@ def _tight_table(tree: SignedTree) -> list:
     return table
 
 
-@dataclass(frozen=True)
-class NegativePath:
+class NegativePath(Record):
     members: frozenset
     endpoints: tuple  # (p, q) with p <= q; p == q for singletons
 
@@ -166,8 +164,7 @@ def path_weight(tree: SignedTree, path: NegativePath) -> Fraction:
     return Fraction(sign * endpoint_factor(p, q) * endpoint_factor(q, p))
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(Record):
     z: tuple  # (subset, int) pairs over nonempty subsets
     y: tuple  # (subset, int) pairs over nonempty subsets
     checked: bool  # True when verified against the Moebius oracle

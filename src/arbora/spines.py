@@ -25,7 +25,6 @@ first read.  The side sets of a `Spine` come from the same walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
@@ -41,7 +40,7 @@ from .errors import (
     UnknownArc,
     VertexNotInLabel,
 )
-from .trees import SignedTree, canonical_edge, tree_cached
+from .trees import Record, SignedTree, canonical_edge, tree_cached
 
 
 def _label_key(label: frozenset) -> tuple:
@@ -52,8 +51,7 @@ def _arc_key(arc: tuple) -> tuple:
     return (_label_key(arc[0]), _label_key(arc[1]))
 
 
-@dataclass(frozen=True)
-class Spine:
+class Spine(Record):
     """A directed labeled tree; nodes are keyed by their label sets."""
 
     nodes: tuple  # frozenset labels, canonically sorted
@@ -144,8 +142,7 @@ def one_node_spine(tree: SignedTree) -> Spine:
     return Spine.make([tree.standard_set], [])
 
 
-@dataclass(frozen=True)
-class SpineCheck:
+class SpineCheck(Record):
     ok: bool
     reason: Optional[str] = None
 
@@ -429,8 +426,7 @@ def flip_arc(tree: SignedTree, spine: Spine, arc: tuple) -> Spine:
     return _maximal_spine(_singleton_labels(tree.standard), flipped)
 
 
-@dataclass(frozen=True)
-class FlipGraph:
+class FlipGraph(Record):
     """The maximal spines of a tree, as index arcs, and the flips between them."""
 
     vertices: tuple  # the standard vertices: index i stands for vertices[i]
@@ -624,8 +620,7 @@ def spine_of_nested_set_by_rules(tree: SignedTree, nested: Iterable) -> Spine:
 # -- blossoms and cuts --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NodeBlossoms:
+class NodeBlossoms(Record):
     label: frozenset
     required_in: int
     required_out: int

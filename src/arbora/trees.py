@@ -17,16 +17,21 @@ Caching policy: a value derived from one tree is either a `cached_property`
 of the tree or is memoized by `tree_cached`, which keeps it in a weak
 per-tree memo.  Equal trees share one memo, and it is freed with the tree
 object that made it, so no cache outlives the tree it describes.
+
+Every immutable record of the package subclasses `Record`, which gives its
+annotated fields the constructor, equality, hash and repr of a frozen
+dataclass without importing `dataclasses` (and with it `inspect` and `ast`)
+or generating code per class when the module loads.
 """
 
 from __future__ import annotations
 
 import json
 import weakref
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, wraps
 from itertools import product
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
 from .errors import (
@@ -65,14 +70,86 @@ def canonical_edge(u: VertexId, v: VertexId) -> tuple:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
-class SignedTree:
+class Record:
+    """An immutable record of the fields annotated on its subclass.
+
+    A subclass is built from its fields by position or keyword, a field
+    assigned in the class body being its default; a missing, unknown or
+    repeated field raises `TypeError`.  Records are equal when they are of
+    the same class and their fields are equal (any other comparison is
+    `NotImplemented`), hash as the tuple of their fields, and print as
+    `Name(field=value, ...)`.  Assigning or deleting an attribute raises
+    `AttributeError`; a `cached_property` still stores its value, and an
+    instance can be weakly referenced.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields = fields = tuple(dict.fromkeys((*cls._fields, *own)))
+        cls._defaults = {name: getattr(cls, name) for name in fields if hasattr(cls, name)}
+        # positional values for this many leading fields leave none without a value
+        cls._required = max((i + 1 for i, f in enumerate(fields) if f not in cls._defaults), default=0)
+        if len(fields) > 1:
+            cls._values = attrgetter(*fields)
+        else:  # attrgetter of one name gives the bare value, of none is no getter
+            cls._values = staticmethod(lambda record: tuple(getattr(record, f) for f in fields))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if not kwargs and self._required <= len(args) <= len(fields):
+            self.__dict__.update(self._defaults)
+            self.__dict__.update(zip(fields, args))
+            return
+        name = type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} field values, {len(args)} given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields or key in values:
+                raise TypeError(f"{name}() got an unknown or repeated field {key!r}")
+            values[key] = value
+        missing = [f for f in fields if f not in values and f not in self._defaults]
+        if missing:
+            raise TypeError(f"{name}() is missing the fields {missing}")
+        self.__dict__.update({**self._defaults, **values})
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__qualname__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__qualname__}")
+
+
+class SignedTree(Record):
     """A signed (phantom) tree with canonically ordered vertex data."""
 
     vertices: tuple
     signs: tuple  # Sign per vertex, aligned with `vertices`; phantoms store NEGATIVE
     phantoms: tuple  # bool per vertex, aligned with `vertices`
     edges: tuple  # canonical (min, max) pairs, sorted
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The record hash, computed once: `tree_cached` hashes the tree on every call."""
+        return Record.__hash__(self)
 
     # -- basic accessors -------------------------------------------------
 
@@ -400,13 +477,11 @@ def tree_to_json(tree: SignedTree) -> dict:
 # -- sign-preserving transformations ---------------------------------------
 
 
-@dataclass(frozen=True)
-class FlipAllSigns:
+class FlipAllSigns(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Relabel:
+class Relabel(Record):
     mapping: tuple  # tuple of (old, new) pairs
 
     @staticmethod
@@ -414,13 +489,11 @@ class Relabel:
         return Relabel(tuple(sorted(mapping.items())))
 
 
-@dataclass(frozen=True)
-class FlipLeafSign:
+class FlipLeafSign(Record):
     leaf: object
 
 
-@dataclass(frozen=True)
-class SwitchAdjacent:
+class SwitchAdjacent(Record):
     u: object
     v: object
 
@@ -655,8 +728,7 @@ BOTTOM = "bottom"
 TOP = "top"
 
 
-@dataclass(frozen=True)
-class BoundaryGraph:
+class BoundaryGraph(Record):
     """Discrete model of the boundary of the thickened tree.
 
     Two copies of the tree (bottom and top) joined by a rung at every tree

@@ -11,7 +11,6 @@ its minimum and maximum; those orders are counted by a DP over down-sets
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
 from typing import Iterable, Optional
@@ -19,7 +18,7 @@ from typing import Iterable, Optional
 from .errors import InvalidOrder, VerificationFailure
 from .fans import fiber, kappa, _check_order
 from .spines import enumerate_maximal_spines, flip_graph
-from .trees import SignedTree, check_bound
+from .trees import Record, SignedTree, check_bound
 
 
 class Comparison(Enum):
@@ -56,8 +55,7 @@ def weak_compare(base: Iterable, order_a: Iterable, order_b: Iterable) -> Compar
     return Comparison.INCOMPARABLE
 
 
-@dataclass(frozen=True)
-class FlipDigraph:
+class FlipDigraph(Record):
     spines: tuple
     arcs: tuple  # (source index, target index, (u, v)) triples
     source: int
@@ -125,8 +123,7 @@ def h_vector(tree: SignedTree, base: Iterable) -> tuple:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(Record):
     interval_failures: tuple  # (spine key index, reason) per failing fiber
     projection_down_failure: Optional[tuple]
     projection_up_failure: Optional[tuple]

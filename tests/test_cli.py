@@ -3,13 +3,18 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arbora
+from arbora import catalog
 from arbora.cli import main
 from arbora.catalog import htree_eq, path_neg, tripod_neg
+from arbora.geometry import realize_polytope
+from arbora.spines import enumerate_maximal_spines, spine_to_json
 from arbora.trees import build_tree, signature_classes, tree_to_json
 
 from conftest import phantom_trees
@@ -55,6 +60,11 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def dumps(document) -> str:
+    """A document as the CLI writes it."""
+    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 class TestCommands:
@@ -591,6 +601,46 @@ def test_cli_import_loads_only_the_tree_layer():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == str(["arbora.cli", "arbora.errors", "arbora.trees"])
+
+
+def test_polytope_cold_path_loads_no_dataclasses_inspect_or_fractions(tripod_file):
+    # -S: the site hooks of an installation may import these modules themselves
+    src = str(Path(arbora.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import arbora.cli, arbora.geometry, arbora.spines, arbora.blocks, arbora.fans; "
+        f"code = arbora.cli.main(['polytope', {tripod_file!r}]); "
+        "heavy = [m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules]; "
+        "print(code, heavy, file=sys.stderr)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert result.stderr == "0 []\n"
+    assert json.loads(result.stdout)["certificate"] == "PASS"
+
+
+def test_polytope_and_flipgraph_write_the_spines_as_spine_to_json_does(tmp_path, capsys):
+    """The index-arc writer against `spine_to_json` of the built spines."""
+    for k, tree in enumerate(catalog.corpus(max_nu=5)):
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(tree_to_json(tree)))
+        description = realize_polytope(tree)
+        expected = {
+            "vertices": [
+                {"spine": spine_to_json(spine), "coords": [point[v] for v in sorted(tree.standard)]}
+                for spine, point in description.vertices
+            ],
+            "facets": [
+                {"block": sorted(block), "rhs": half.rhs} for block, half in description.facets
+            ],
+            "certificate": "PASS",
+        }
+        assert run_cli(["polytope", str(path)], capsys) == (0, dumps(expected))
+        code, out = run_cli(["flipgraph", str(path)], capsys)
+        assert code == 0
+        spines = [spine_to_json(spine) for spine in enumerate_maximal_spines(tree)]
+        assert json.loads(out)["spines"] == spines
 
 
 class TestSignatureMachinery:

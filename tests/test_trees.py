@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 from itertools import product
@@ -19,6 +20,7 @@ from arbora.trees import (
     FlipAllSigns,
     FlipLeafSign,
     TOP,
+    Record,
     Relabel,
     Sign,
     SignedTree,
@@ -38,6 +40,77 @@ from arbora.trees import (
 )
 
 from conftest import phantom_trees, signed_trees
+
+
+class Point(Record):
+    x: object
+    y: object = 0
+
+
+class Twin(Record):
+    x: object
+    y: object = 0
+
+
+@dataclasses.dataclass(frozen=True)
+class DataPoint:
+    """The frozen dataclass that `Point` stands in for: the oracle of its behaviour."""
+
+    x: object
+    y: object = 0
+
+
+class TestRecord:
+    def test_positional_keyword_and_default_construction(self):
+        assert Point(1) == Point(1, 0) == Point(x=1) == Point(y=0, x=1)
+        assert (Point(1, 2).x, Point(1, 2).y, Point(y=3, x=4).y) == (1, 2, 3)
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((), {}), ((), {"y": 1}), ((1, 2, 3), {}), ((1,), {"z": 2}), ((1,), {"x": 1})],
+        ids=["missing", "missing-with-default-given", "extra", "unknown", "repeated"],
+    )
+    def test_bad_fields_raise_type_error_as_a_dataclass_does(self, args, kwargs):
+        with pytest.raises(TypeError):
+            DataPoint(*args, **kwargs)
+        with pytest.raises(TypeError):
+            Point(*args, **kwargs)
+
+    def test_equal_only_to_the_same_class(self):
+        assert Point(1, 2) == Point(1, 2) and Point(1, 2) != Point(2, 1)
+        assert Point(1, 2) != Twin(1, 2)
+        assert Point(1, 2) != (1, 2)
+        assert Point(1, 2).__eq__(Twin(1, 2)) is NotImplemented
+        assert Point(1, 2).__eq__((1, 2)) is NotImplemented
+        assert len({Point(1, 2), Point(1, 2), Twin(1, 2)}) == 2
+
+    @pytest.mark.parametrize("values", [(1, 2), ("a", (frozenset({3}), None)), (Sign.POSITIVE, 0)])
+    def test_hash_and_repr_are_the_dataclass_ones(self, values):
+        assert hash(Point(*values)) == hash(DataPoint(*values)) == hash(values)
+        assert repr(Point(*values)) == repr(DataPoint(*values)).replace("DataPoint", "Point")
+        assert hash(FlipAllSigns()) == hash(())
+        assert hash(FlipLeafSign(values)) == hash((values,))
+        assert repr(FlipAllSigns()) == "FlipAllSigns()"
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        point = Point(1, 2)
+        for change in (
+            lambda: setattr(point, "x", 3),
+            lambda: setattr(point, "z", 3),
+            lambda: delattr(point, "x"),
+        ):
+            with pytest.raises(AttributeError):
+                change()
+        assert point == Point(1, 2)
+
+    def test_tree_keeps_cached_properties_a_weak_reference_and_one_hash(self):
+        tree = build_tree([(1, "-"), (2, "+")], [(1, 2)])
+        assert tree.standard == (1, 2) and tree.__dict__["standard"] is tree.standard
+        assert weakref.ref(tree)() is tree
+        assert hash(tree) == hash((tree.vertices, tree.signs, tree.phantoms, tree.edges))
+        assert tree.__dict__["_hash"] == hash(tree)
+        with pytest.raises(AttributeError):
+            tree.vertices = ()
 
 
 class TestBuildTree:

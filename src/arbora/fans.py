@@ -13,9 +13,10 @@ their `SignedTree.path_masks` entry misses the deleted mask: the pair case
 of `blocks.held_together`, which `adjacent_congruent` asks too.  A
 positive vertex receives one arc, a negative one at most one per tree
 neighbour.  `fiber` lists the linear extensions of a maximal spine from the
-predecessor masks of its arcs.  `fan_cover_check` certifies that the spine
-cones tile the braid fan in integers only: each order finds its cone by one
-lookup of its swept arcs among the flip graph's arcs.  The wall between
+predecessor masks of its arcs, once per spine.  `fan_cover_check`
+certifies that the spine cones tile the braid fan in integers only: each
+order finds its cone by one lookup of its swept arcs among the flip
+graph's arcs.  The wall between
 two flip-adjacent cones is read off per-fiber masks of the vertices that
 come before a vertex in every order of the fiber (`_always_before`).  Each
 cone is simplicial when the determinant of its 0/1 rays (the sink masks)
@@ -41,7 +42,7 @@ from .errors import (
     failure_summary,
 )
 from .spines import Spine, _maximal_spine, _singleton_labels, flip_graph
-from .trees import Record, SignedTree, canonical_edge, check_bound, tree_cached
+from .trees import Record, SignedTree, canonical_edge, check_bound
 
 
 def _check_order(tree: SignedTree, order: Iterable) -> tuple:
@@ -130,33 +131,17 @@ def _sweep(tree: SignedTree, order: Iterable) -> list:
     return arcs
 
 
-@tree_cached
 def fiber(tree: SignedTree, spine: Spine) -> tuple:
     """All linear extensions of a maximal spine, in lexicographic order.
 
-    Read from the predecessor masks of its arcs (bit i for `standard_index`
-    i): breadth-first, each prefix grows by every unplaced vertex whose
-    predecessors it holds, in ascending bit order.  The standard vertices
-    are sorted, so the orders come out sorted.
+    Found once per spine object and cached on it (`Spine._fiber`).
     """
     if not spine.is_maximal:
         raise NotMaximal("fibers are defined for maximal spines")
     index = tree.standard_index
     if len(spine.nodes) != tree.nu or any(v not in index for (v,) in spine.nodes):
         raise InvalidSpine("spine labels are not standard vertices of the tree")
-    preds = [0] * tree.nu
-    for (tail,), (head,) in spine.arcs:
-        preds[index[head]] |= 1 << index[tail]
-    steps = [(v, 1 << i, preds[i]) for i, v in enumerate(tree.standard)]
-    prefixes = [((), 0)]
-    for _ in steps:
-        prefixes = [
-            (order + (v,), placed | bit)
-            for order, placed in prefixes
-            for v, bit, need in steps
-            if not placed & bit and need & placed == need
-        ]
-    return tuple(order for order, _ in prefixes)
+    return spine._fiber
 
 
 def adjacent_congruent(tree: SignedTree, order_a: Iterable, order_b: Iterable) -> bool:

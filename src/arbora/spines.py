@@ -117,6 +117,30 @@ class Spine(Record):
     def is_maximal(self) -> bool:
         return all(len(label) == 1 for label in self.nodes)
 
+    @cached_property
+    def _fiber(self) -> tuple:
+        """The linear extensions of a maximal spine, in lexicographic order (`fans.fiber`).
+
+        Read from the predecessor masks of its arcs (bit i for node i):
+        breadth-first, each prefix grows by every unplaced vertex whose
+        predecessors it holds, in ascending bit order.  The nodes are
+        sorted, so the orders come out sorted.
+        """
+        index = {label: i for i, label in enumerate(self.nodes)}
+        preds = [0] * len(self.nodes)
+        for tail, head in self.arcs:
+            preds[index[head]] |= 1 << index[tail]
+        steps = [(v, 1 << i, preds[i]) for i, (v,) in enumerate(self.nodes)]
+        prefixes = [((), 0)]
+        for _ in steps:
+            prefixes = [
+                (order + (v,), placed | bit)
+                for order, placed in prefixes
+                for v, bit, need in steps
+                if not placed & bit and need & placed == need
+            ]
+        return tuple(order for order, _ in prefixes)
+
     def key(self) -> frozenset:
         """Canonical identity: the family of arc source sets."""
         return frozenset(self._side_sets.values())

@@ -14,9 +14,10 @@ its centroids decide signed isomorphism and the automorphism part of the
 signature orbits.  Neither recurses over the tree.
 
 Caching policy: a value derived from one tree is either a `cached_property`
-of the tree or is memoized by `tree_cached`, which keeps it in a weak
-per-tree memo.  Equal trees share one memo, and it is freed with the tree
-object that made it, so no cache outlives the tree it describes.
+of the tree or is memoized by `tree_cached` in the tree object's own memo,
+`SignedTree._memo`.  Either way it is an attribute of that object and is
+freed with it, so no cache outlives the tree it describes; equal trees
+built separately share nothing, and each result carries its own tree's ids.
 
 Every immutable record of the package subclasses `Record`, which gives its
 annotated fields the constructor, equality, hash and repr of a frozen
@@ -27,7 +28,6 @@ or generating code per class when the module loads.
 from __future__ import annotations
 
 import json
-import weakref
 from enum import Enum
 from functools import cached_property, wraps
 from itertools import product
@@ -38,6 +38,7 @@ from .errors import (
     BoundExceeded,
     DuplicateId,
     EmptyTree,
+    NotABuildingBlock,
     NotATree,
     PreconditionViolated,
     RootIsPhantom,
@@ -143,13 +144,10 @@ class SignedTree(Record):
     phantoms: tuple  # bool per vertex, aligned with `vertices`
     edges: tuple  # canonical (min, max) pairs, sorted
 
-    def __hash__(self):
-        return self._hash
-
     @cached_property
-    def _hash(self) -> int:
-        """The record hash, computed once: `tree_cached` hashes the tree on every call."""
-        return Record.__hash__(self)
+    def _memo(self) -> dict:
+        """Function -> its value on this tree, for the functions of `tree_cached`."""
+        return {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -338,27 +336,21 @@ def check_standard(tree: SignedTree, what: str) -> None:
         raise PreconditionViolated(f"{what} needs a tree without phantom vertices")
 
 
-_MEMO = weakref.WeakKeyDictionary()  # tree -> {(function, args): value}
-
-
 def tree_cached(fn):
-    """Memoize `fn(tree, *args)` in the memo of the tree.
+    """Memoize `fn(tree)` in the tree object's own memo, keyed by the function.
 
-    The memo is keyed by the tree's value, so equal trees built separately
-    share it; it is dropped when the tree object that created it is freed.
-    A cached value must not hold that tree, or the memo would keep it alive.
+    The memo is freed with the tree, and an equal tree built separately
+    computes its own value, with its own ids.  A cached value must not hold
+    its tree: the two would form a cycle that only the cycle collector frees.
     """
 
     @wraps(fn)
-    def cached(tree: SignedTree, *args):
-        memo = _MEMO.get(tree)
-        if memo is None:
-            memo = _MEMO[tree] = {}
-        key = (cached, args)
+    def cached(tree: SignedTree):
+        memo = tree._memo
         try:
-            return memo[key]
+            return memo[cached]
         except KeyError:
-            value = memo[key] = fn(tree, *args)
+            value = memo[cached] = fn(tree)
             return value
 
     return cached
@@ -374,7 +366,7 @@ def build_tree(vertex_specs: Iterable, edge_pairs: Iterable) -> SignedTree:
     specs = list(vertex_specs)
     if not specs:
         raise EmptyTree("a tree needs at least one vertex")
-    ids, signs, phantoms = [], {}, {}
+    ids, signs, phantoms = {}, {}, {}  # ids maps each id to the declared object
     for spec in specs:
         if len(spec) == 2:
             vid, sign = spec
@@ -389,7 +381,7 @@ def build_tree(vertex_specs: Iterable, edge_pairs: Iterable) -> SignedTree:
             raise DuplicateId(f"duplicate vertex id {vid!r}")
         if vid != vid:  # NaN: no lookup or comparison could find it again
             raise PreconditionViolated(f"vertex id {vid!r} does not equal itself")
-        ids.append(vid)
+        ids[vid] = vid
         # phantom vertices carry no sign; store NEGATIVE as the fixed filler
         signs[vid] = Sign.NEGATIVE if phantom else Sign.parse(sign)
         phantoms[vid] = bool(phantom)
@@ -408,6 +400,7 @@ def build_tree(vertex_specs: Iterable, edge_pairs: Iterable) -> SignedTree:
             raise NotATree(f"an edge needs two vertex ids, got {pair!r}") from None
         if not known:
             raise UnknownVertex(f"edge {u!r}-{v!r} uses an unknown vertex")
+        u, v = ids[u], ids[v]  # an edge may name vertex 1 as 1.0 or True
         if u == v:
             raise NotATree(f"self-loop at {u!r}")
         e = canonical_edge(u, v)
@@ -697,12 +690,8 @@ def phantom_split(tree: SignedTree, block: Iterable) -> tuple:
     block = frozenset(block)
     check = _blocks.is_building_block(tree, block)
     if not check:
-        from .errors import NotABuildingBlock
-
         raise NotABuildingBlock(f"{sorted(block)} is not a building block: {check.failed}")
     if not block or block == tree.standard_set:
-        from .errors import NotABuildingBlock
-
         raise NotABuildingBlock("phantom_split needs a relevant block")
 
     def phantomize(keep: frozenset) -> SignedTree:

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import strategies as st
 
@@ -38,6 +40,24 @@ def htree_diff():
 @pytest.fixture
 def spider7():
     return catalog.spider7()
+
+
+@lru_cache(maxsize=None)
+def _shared_corpus() -> tuple:
+    return tuple(catalog.corpus(max_nu=6, include_named=False)), tuple(
+        factory() for factory in catalog.NAMED_TREES.values()
+    )
+
+
+def corpus(max_nu: int = 6, include_named: bool = True) -> tuple:
+    """`catalog.corpus(max_nu, include_named)` on tree objects shared by every test.
+
+    A tree keeps its blocks and flip graph in its own memo, so the tests that
+    walk the corpus reuse each other's work only on the same tree objects.
+    """
+    assert max_nu <= 6
+    trees, named = _shared_corpus()
+    return tuple(t for t in trees if t.nu <= max_nu) + (named if include_named else ())
 
 
 @st.composite

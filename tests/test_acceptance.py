@@ -13,7 +13,6 @@ from math import comb, factorial
 import pytest
 
 from arbora.catalog import (
-    corpus,
     htree_diff,
     htree_eq,
     path4_neg,
@@ -36,6 +35,8 @@ from arbora.spines import enumerate_maximal_spines, flip_graph
 from arbora.trees import FlipAllSigns, FlipLeafSign, SwitchAdjacent, transform
 from arbora.weak_order import congruence_diagnostics, h_vector
 
+from conftest import corpus
+
 TABLE_SUBSETS = [
     frozenset({1}),
     frozenset({2}),
@@ -45,16 +46,6 @@ TABLE_SUBSETS = [
     frozenset({1, 3, 4}),
     frozenset({1, 2, 3, 4}),
 ]
-
-CORPUS = None
-
-
-def full_corpus():
-    global CORPUS
-    if CORPUS is None:
-        CORPUS = tuple(corpus(max_nu=6, include_named=True))
-    return CORPUS
-
 
 def report(line):
     print(line)
@@ -79,7 +70,7 @@ def test_criterion_02_table_of_coefficients():
 
 def test_criterion_03_oracle_sweep():
     checked = 0
-    for tree in full_corpus():
+    for tree in corpus():
         table = minkowski_coefficients(tree, max_nu=7, check=False)
         assert dict(table.y) == dict(moebius_oracle(tree, max_nu=7)), tree
         checked += 1
@@ -108,7 +99,7 @@ def test_criterion_05_catalan_narayana():
 
 def test_criterion_06_realization_certificates():
     checked = 0
-    for tree in full_corpus():
+    for tree in corpus():
         if tree.nu > 7:
             continue
         assert verify_realization(tree), tree
@@ -118,7 +109,7 @@ def test_criterion_06_realization_certificates():
 
 def test_criterion_07_fan_completeness():
     checked = 0
-    for tree in full_corpus():
+    for tree in corpus():
         if tree.nu > 7:
             continue
         spines = enumerate_maximal_spines(tree)
@@ -167,7 +158,7 @@ def test_criterion_09_singletons():
         assert len(singleton_spines(path_neg(n))) == 2 ** (n - 1)
     assert len(singleton_spines(tripod_neg())) == 12
     checked = 0
-    for tree in full_corpus():
+    for tree in corpus():
         count = singleton_count_recursive(tree)  # raises on mismatch
         assert count == len(singleton_spines(tree))
         checked += 1
@@ -202,7 +193,14 @@ def test_criterion_10_congruence_failures():
 
 def test_criterion_11_structural_properties():
     checked = 0
-    for tree in full_corpus():
+    stats_of = {}  # tree value -> complex_stats: a transformed tree often equals a corpus tree
+
+    def stats_for(tree):
+        if tree not in stats_of:
+            stats_of[tree] = complex_stats(tree)
+        return stats_of[tree]
+
+    for tree in corpus():
         if tree.nu >= 2:
             assert is_pseudomanifold(tree), tree
         for targets in flip_graph(tree).neighbors:
@@ -214,7 +212,7 @@ def test_criterion_11_structural_properties():
         f_from_h = [
             sum(comb(l, k) * h[l] for l in range(d + 1)) for k in range(d + 1)
         ]
-        stats = complex_stats(tree)
+        stats = stats_for(tree)
         assert tuple(reversed(f_from_h)) == stats.f_complex, tree
 
         ops = [FlipAllSigns()]
@@ -227,7 +225,7 @@ def test_criterion_11_structural_properties():
             and tree.sign_of(u) is not tree.sign_of(v)
         ]
         for op in ops:
-            assert complex_stats(transform(tree, op)).f_complex == stats.f_complex
+            assert stats_for(transform(tree, op)).f_complex == stats.f_complex
 
         from arbora.geometry import parallel_facets
 

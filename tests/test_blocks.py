@@ -20,7 +20,7 @@ from arbora.blocks import (
 from arbora.errors import IrrelevantBlock, UnknownEdge, UnknownVertex
 from arbora.trees import Sign, build_tree
 
-from conftest import phantom_trees, signed_trees
+from conftest import corpus, phantom_trees, signed_trees
 
 
 def blocks_as_lists(tree):
@@ -140,7 +140,7 @@ class TestEnumeration:
             assert block and block != tree.standard_set
 
     def test_equals_path_filter_on_corpus(self):
-        for tree in catalog.corpus(max_nu=6):
+        for tree in corpus(max_nu=6):
             assert enumerate_blocks(tree) == path_filter_blocks(tree), tree
 
     @given(phantom_trees())
@@ -156,7 +156,7 @@ class TestHeldTogether:
         assert held_together(path4_neg, {1, 2, 3}, {2})  # members do not separate
 
     def test_equals_path_oracle_on_corpus(self):
-        for tree in catalog.corpus(max_nu=5):
+        for tree in corpus(max_nu=5):
             assert_held_together_matches_paths(tree)
 
     @given(phantom_trees(max_vertices=7))
@@ -251,7 +251,7 @@ class TestCompatibility:
         )
 
     def test_equals_set_rule_on_corpus(self):
-        for tree in catalog.corpus(max_nu=5):
+        for tree in corpus(max_nu=5):
             assert_compatibility_matches_set_rule(tree)
 
     @given(phantom_trees(max_vertices=7))

@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arbora
-from arbora import catalog
 from arbora.cli import main
 from arbora.catalog import htree_eq, path_neg, tripod_neg
 from arbora.geometry import realize_polytope
 from arbora.spines import enumerate_maximal_spines, spine_to_json
 from arbora.trees import build_tree, signature_classes, tree_to_json
 
-from conftest import phantom_trees
+from conftest import corpus, phantom_trees
 from test_trees import unsigned_automorphisms
 
 
@@ -622,7 +621,7 @@ def test_polytope_cold_path_loads_no_dataclasses_inspect_or_fractions(tripod_fil
 
 def test_polytope_and_flipgraph_write_the_spines_as_spine_to_json_does(tmp_path, capsys):
     """The index-arc writer against `spine_to_json` of the built spines."""
-    for k, tree in enumerate(catalog.corpus(max_nu=5)):
+    for k, tree in enumerate(corpus(max_nu=5)):
         path = tmp_path / f"{k}.json"
         path.write_text(json.dumps(tree_to_json(tree)))
         description = realize_polytope(tree)

@@ -3,7 +3,6 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from arbora import catalog
 from arbora.blocks import compatible, enumerate_blocks
 from arbora.complexes import (
     ComplexStats,
@@ -25,7 +24,7 @@ from arbora.trees import (
     transform,
 )
 
-from conftest import phantom_trees, signed_trees
+from conftest import corpus, phantom_trees, signed_trees
 
 
 def clique_facets(tree):
@@ -115,7 +114,7 @@ def assert_masks_match_frozensets(tree):
 
 class TestMasksAgreeWithFrozensets:
     def test_corpus(self):
-        for tree in catalog.corpus(max_nu=5):
+        for tree in corpus(max_nu=5):
             assert_masks_match_frozensets(tree)
 
     @given(phantom_trees(max_vertices=8).filter(lambda tree: tree.nu <= 5))

@@ -30,7 +30,7 @@ from arbora.spines import (
 )
 from arbora.catalog import path_neg
 
-from conftest import phantom_trees, signed_trees
+from conftest import corpus, phantom_trees, signed_trees
 
 
 def piece_sweep(tree, order):
@@ -139,7 +139,7 @@ class TestKappa:
 
 
     def test_equals_piece_sweep_on_corpus(self):
-        for tree in catalog.corpus(max_nu=5):
+        for tree in corpus(max_nu=5):
             assert_sweeps_agree(tree)
 
     @pytest.mark.parametrize("name", sorted(catalog.NAMED_TREES))
@@ -152,7 +152,7 @@ class TestKappa:
         assert_sweeps_agree(tree)
 
     def test_equals_held_together_sweep_on_corpus_and_named_trees(self):
-        for tree in catalog.corpus(max_nu=5):
+        for tree in corpus(max_nu=5):
             assert_mask_sweep_agrees(tree)
 
     @given(phantom_trees(max_vertices=8).filter(lambda tree: tree.nu <= 6))
@@ -198,7 +198,7 @@ def ordered_partitions(vertices):
 
 class TestKappaExtended:
     def test_equals_contraction_oracle_on_corpus(self):
-        for tree in catalog.corpus(4, include_named=False):
+        for tree in corpus(4, include_named=False):
             for partition in ordered_partitions(tree.standard):
                 expected = contracting_kappa_extended(tree, partition)
                 assert kappa_extended(tree, partition) == expected
@@ -328,7 +328,7 @@ def backtrack_fiber(spine):
 class TestFibers:
     def test_equals_backtracking_on_corpus_and_named_trees(self):
         # corpus() ends with the named trees: htree_eq, htree_diff, spider7
-        for tree in catalog.corpus(max_nu=5):
+        for tree in corpus(max_nu=5):
             for spine in enumerate_maximal_spines(tree):
                 assert fiber(tree, spine) == backtrack_fiber(spine), (tree, spine)
 
@@ -471,7 +471,7 @@ class TestFanCoverage:
             fan_cover_check(spider7, max_nu=5)
 
     def test_corpus_passes(self):
-        for tree in catalog.corpus(max_nu=5):
+        for tree in corpus(max_nu=5):
             certificate = fan_cover_check(tree)
             assert certificate.passed, tree
             assert certificate.cones == len(enumerate_maximal_spines(tree))
@@ -538,7 +538,7 @@ class TestAlwaysBefore:
             assert bool(before[index[v]] >> index[u] & 1) == wall_scan(orders, u, v)
 
     def test_fibers_of_corpus(self):
-        for tree in catalog.corpus(max_nu=5, include_named=False):
+        for tree in corpus(max_nu=5, include_named=False):
             for spine in enumerate_maximal_spines(tree):
                 self.assert_agrees_with_wall_scan(tree, fiber(tree, spine))
 
@@ -603,7 +603,7 @@ def spine_rays(tree, spine):
 class TestDeterminant:
     def test_agrees_with_fraction_rank_on_every_corpus_spine(self):
         checked = 0
-        for tree in catalog.corpus(max_nu=5):
+        for tree in corpus(max_nu=5):
             for spine in enumerate_maximal_spines(tree):
                 rays = spine_rays(tree, spine)
                 det = _determinant(rays + [[1] * tree.nu])

@@ -34,7 +34,7 @@ from arbora.spines import (
 )
 from arbora.trees import FlipAllSigns, FlipLeafSign, build_tree, transform
 
-from conftest import phantom_trees, signed_trees
+from conftest import corpus, phantom_trees, signed_trees
 
 
 def brute_vertex_point(tree, spine):
@@ -162,7 +162,7 @@ class TestVertexPoint:
             assert vertex_point(tree, spine) == brute_vertex_point(tree, spine)
 
     def test_equals_side_set_formula_on_corpus_and_named_trees(self):
-        for tree in catalog.corpus(max_nu=5):
+        for tree in corpus(max_nu=5):
             assert_vertex_points_match_side_sets(tree)
 
     @given(phantom_trees(max_vertices=8).filter(lambda tree: tree.nu <= 5))
@@ -192,7 +192,7 @@ class TestVertexPoint:
         from test_spines import one_arc_mutations
 
         invalid = 0
-        for tree in catalog.corpus(4, include_named=False):
+        for tree in corpus(4, include_named=False):
             for base in enumerate_maximal_spines(tree):
                 for spine in one_arc_mutations(base):
                     if validate_spine(tree, spine):
@@ -309,7 +309,7 @@ def certify_by_block_sums(tree, points):
 
 
 class TestCertifyOracle:
-    TREES = [*catalog.corpus(max_nu=5, include_named=False), catalog.htree_eq()]
+    TREES = [*corpus(max_nu=5, include_named=False), catalog.htree_eq()]
 
     @staticmethod
     def assert_agrees(tree, points):

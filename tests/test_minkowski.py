@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from arbora.blocks import enumerate_blocks
 from arbora.errors import BoundExceeded, InversionMismatch, PreconditionViolated
 from arbora.geometry import vertex_point
-from arbora.catalog import corpus, htree_diff, htree_eq
+from arbora.catalog import htree_diff, htree_eq
 from arbora.minkowski import (
     NegativePath,
     _moebius,
@@ -25,7 +25,7 @@ from arbora.minkowski import (
 from arbora.spines import enumerate_maximal_spines, validate_spine
 from arbora.trees import build_tree
 
-from conftest import phantom_trees, signed_trees
+from conftest import corpus, phantom_trees, signed_trees
 
 TABLE_SUBSETS = [
     frozenset({1}),

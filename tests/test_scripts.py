@@ -59,3 +59,46 @@ def test_spine_peaks_reports_each_command(tmp_path, capsys):
         assert main([line["command"], str(star)]) == 0
         stdout = capsys.readouterr().out.encode()
         assert line["stdout_sha256"] == hashlib.sha256(stdout).hexdigest()
+
+
+def test_cli_digests_hash_each_command(tmp_path, capsys):
+    import hashlib
+    import json
+
+    from arbora.catalog import tripod_neg
+    from arbora.cli import main
+    from arbora.trees import tree_to_json
+
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "cli_digests.py"), "--max-nu", "3"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = [json.loads(line) for line in result.stdout.splitlines()]
+    names = list(dict.fromkeys(line["tree"] for line in lines))
+    assert names == [
+        "corpus-0", "corpus-9",
+        "tripod_neg", "tripod_pos", "p3mix", "path4_neg", "htree_eq", "htree_diff", "spider7",
+        "phantom-leaf", "phantom-centre",
+    ]
+    assert len(lines) == 12 * len(names)
+    refused = {(line["tree"], line["command"]) for line in lines if line["exit"] != 0}
+    assert refused == {
+        (name, command)
+        for name in ("phantom-leaf", "phantom-centre")
+        for command in ("minkowski --check", "signature-sweep")
+    }
+    path = tmp_path / "tripod.json"
+    path.write_text(json.dumps(tree_to_json(tripod_neg())))
+    for line in lines:
+        if line["tree"] == "tripod_neg":
+            command, *options = line["command"].split()
+            argv = [command, str(path), *options]
+            if command == "isometric":
+                argv.append(str(path))  # the tree against itself
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert line["stdout_sha256"] == hashlib.sha256(captured.out.encode()).hexdigest()
+            assert line["stderr_sha256"] == hashlib.sha256(captured.err.encode()).hexdigest()

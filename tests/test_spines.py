@@ -3,7 +3,6 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from arbora import catalog
 from arbora.blocks import held_together, is_building_block, open_components
 from arbora.catalog import NAMED_TREES
 from arbora.complexes import enumerate_nested_sets
@@ -38,7 +37,7 @@ from arbora.spines import (
 )
 from arbora.trees import build_tree
 
-from conftest import phantom_trees, signed_trees
+from conftest import corpus, phantom_trees, signed_trees
 
 
 def path_spine(*vertices):
@@ -281,7 +280,7 @@ def assert_side_sets_agree(tree):
 class TestMaskCheck:
     def test_agrees_with_validate_spine_on_corpus(self):
         reasons = set()
-        for tree in catalog.corpus(5, include_named=False):
+        for tree in corpus(5, include_named=False):
             assert_mask_check_agrees(tree, reasons)
         assert reasons == {
             None,
@@ -318,7 +317,7 @@ class TestMaskCheck:
 
 class TestSideSets:
     def test_one_walk_equals_search_on_corpus(self):
-        for tree in catalog.corpus(5, include_named=False):
+        for tree in corpus(5, include_named=False):
             assert_side_sets_agree(tree)
 
     @pytest.mark.parametrize("name", sorted(NAMED_TREES))
@@ -532,7 +531,7 @@ class TestFlips:
             assert len(spine.key() ^ flipped.key()) == 2
 
     def test_equals_frozenset_oracle_on_corpus(self):
-        for tree in catalog.corpus(max_nu=5):
+        for tree in corpus(max_nu=5):
             assert_flips_agree(tree)
 
     @given(phantom_trees(max_vertices=8).filter(lambda tree: tree.nu <= 5))
@@ -545,7 +544,7 @@ class TestFlips:
 
         invalid = [
             (tree, spine)
-            for tree in catalog.corpus(max_nu=4, include_named=False)
+            for tree in corpus(max_nu=4, include_named=False)
             for base in enumerate_maximal_spines(tree)
             for spine in one_arc_mutations(base)
             if not validate_spine(tree, spine)
@@ -654,9 +653,8 @@ class TestFlipGraph:
         graph = flip_graph(fresh_tree("noval"))
         assert len(graph.spines) > 1
 
-    def test_consumers_make_no_flips(self, htree_eq, tmp_path, monkeypatch, capsys):
+    def test_consumers_make_no_flips(self, htree_eq, monkeypatch, capsys):
         from arbora import cli, fans, geometry, spines, weak_order
-        from arbora.trees import tree_to_json
 
         enumerate_maximal_spines(htree_eq)
         calls = []
@@ -667,13 +665,13 @@ class TestFlipGraph:
             return exchange(*args)
 
         monkeypatch.setattr(spines, "_exchange", counted)
-        path = tmp_path / "htree.json"
-        path.write_text(json.dumps(tree_to_json(htree_eq)))
+        # the CLI reads this very tree object, whose flip graph is already built
+        monkeypatch.setattr(cli, "_load_tree", lambda path: htree_eq)
         assert geometry.verify_realization(htree_eq)
         assert fans.fan_cover_check(htree_eq).passed
         weak_order.increasing_flip_digraph(htree_eq, tuple(sorted(htree_eq.standard)))
-        assert cli.main(["flipgraph", str(path)]) == 0
-        assert cli.main(["flipgraph", str(path), "--dot"]) == 0
+        assert cli.main(["flipgraph", "htree.json"]) == 0
+        assert cli.main(["flipgraph", "htree.json", "--dot"]) == 0
         capsys.readouterr()
         assert calls == []
 

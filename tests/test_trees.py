@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import weakref
 from itertools import product
 
@@ -14,7 +15,7 @@ from arbora.errors import (
     PreconditionViolated,
     RootIsPhantom,
 )
-from arbora.catalog import corpus, path_neg, tree_shapes
+from arbora.catalog import path_neg, tree_shapes
 from arbora.trees import (
     PROP18_MODES,
     FlipAllSigns,
@@ -39,7 +40,7 @@ from arbora.trees import (
     tree_to_json,
 )
 
-from conftest import phantom_trees, signed_trees
+from conftest import corpus, phantom_trees, signed_trees
 
 
 class Point(Record):
@@ -107,8 +108,9 @@ class TestRecord:
         tree = build_tree([(1, "-"), (2, "+")], [(1, 2)])
         assert tree.standard == (1, 2) and tree.__dict__["standard"] is tree.standard
         assert weakref.ref(tree)() is tree
+        cached = set(tree.__dict__)
         assert hash(tree) == hash((tree.vertices, tree.signs, tree.phantoms, tree.edges))
-        assert tree.__dict__["_hash"] == hash(tree)
+        assert set(tree.__dict__) == cached  # the record hash, computed anew
         with pytest.raises(AttributeError):
             tree.vertices = ()
 
@@ -162,6 +164,16 @@ class TestBuildTree:
         }
         with pytest.raises(PreconditionViolated):
             tree_from_json(document)
+
+    def test_edges_keep_the_declared_ids(self):
+        # the file names vertex 1 as 1.0 in an edge: the tree keeps the int
+        tree = tree_from_json('{"vertices": [{"id": 1}, {"id": 2}, {"id": 3}], '
+                              '"edges": [[1.0, 2], [2, 3]]}')
+        assert [repr(v) for edge in tree.edges for v in edge] == ["1", "2", "2", "3"]
+        assert [repr(v) for v in tree.adjacency[2]] == ["1", "3"]
+        assert json.dumps(tree_to_json(tree)["edges"]) == "[[1, 2], [2, 3]]"
+        tree = build_tree([(1, "-"), (2, "+")], [(True, 2)])
+        assert [repr(v) for v in tree.edges[0]] == ["1", "2"]
 
     @pytest.mark.parametrize("edge", ["12", ["1"], ["1", "2", "3"], {"1": "2"}, 12])
     def test_json_edge_must_be_a_pair_list(self, edge):
@@ -615,7 +627,7 @@ class TestBoundaryWalk:
 
 
 def lonely_tree():
-    """A tree with ids no other test uses, so no live equal tree shares its memo."""
+    """A small tree on string ids."""
     return build_tree(
         [("memo-a", "-"), ("memo-b", "+"), ("memo-c", "-"), ("memo-d", "+")],
         [("memo-a", "memo-b"), ("memo-b", "memo-c"), ("memo-b", "memo-d")],
@@ -624,16 +636,13 @@ def lonely_tree():
 
 class TestTreeCache:
     def test_singleton_recursion_adds_no_tree_to_the_memo(self):
-        from arbora import trees
         from arbora.geometry import singleton_count_recursive
 
         tree = lonely_tree()
         assert singleton_count_recursive(tree) == 12
-        keyed = [key for key in trees._MEMO.keys() if key.vertices == tree.vertices]
-        assert keyed == [tree]
-        assert {fn.__name__ for fn, _ in trees._MEMO[tree]} == {"flip_graph"}
+        assert [fn.__name__ for fn in tree._memo] == ["flip_graph"]
         freed = weakref.ref(tree)
-        del tree, keyed
+        del tree
         assert freed() is None  # no reference cycle of the recursion holds the tree
 
     def test_flip_graph_dies_with_its_tree(self):
@@ -647,12 +656,37 @@ class TestTreeCache:
         gc.collect()
         assert graph() is None
 
-    def test_equal_trees_share_one_flip_graph(self):
+    def test_equal_trees_keep_their_own_flip_graphs(self):
         from arbora.spines import flip_graph
 
         first, second = lonely_tree(), lonely_tree()
-        assert first is not second
-        assert flip_graph(second) is flip_graph(first)
+        assert first == second and first is not second
+        graph = flip_graph(first)
+        assert flip_graph(first) is graph and first._memo == {flip_graph: graph}
+        assert flip_graph(second) is not graph and flip_graph(second) == graph
+
+    @pytest.mark.parametrize("ids", [((1, 2, 3), (1.0, 2.0, 3.0)), ((1, 2), (True, 2))])
+    def test_equal_trees_on_equal_ids_keep_their_own_ids(self, ids):
+        from arbora.blocks import enumerate_blocks
+        from arbora.fans import fiber
+        from arbora.spines import flip_graph
+
+        def reprs(vertices):
+            return {repr(v) for v in vertices}
+
+        trees = [build_tree(list(zip(vs, "-+-")), list(zip(vs, vs[1:]))) for vs in ids]
+        assert trees[0] == trees[1]
+        for tree, vs in zip(trees, ids):  # both alive, the first one asked first
+            own = reprs(vs)
+            blocks = enumerate_blocks(tree)
+            assert blocks and all(reprs(block) <= own for block in blocks)
+            graph = flip_graph(tree)
+            assert reprs(graph.vertices) == own
+            for spine in graph.spines:
+                assert all(reprs(order) == own for order in fiber(tree, spine))
+        freed = [weakref.ref(trees[1]), weakref.ref(flip_graph(trees[1]))]
+        del trees, tree, graph, spine
+        assert [ref() for ref in freed] == [None, None]  # freed without the cycle collector
 
     def test_fiber_is_served_from_the_memo_of_an_equal_tree(self):
         from arbora.fans import fiber
@@ -663,20 +697,24 @@ class TestTreeCache:
         orders = fiber(first, spine)
         assert fiber(lonely_tree(), spine) is orders
 
-    def test_memoizes_per_argument_and_forgets_with_the_tree(self):
+    def test_memoizes_per_tree_object_and_forgets_with_the_tree(self):
+        class Total:
+            def __init__(self, value):
+                self.value = value
+
         calls = []
 
         @tree_cached
-        def degree_sum(tree, vertex):
-            calls.append(vertex)
-            return sum(tree.degree(n) for n in tree.neighbors(vertex))
+        def total_degree(tree):
+            calls.append(id(tree))
+            return Total(sum(map(tree.degree, tree.vertices)))
 
-        tree = lonely_tree()
-        assert degree_sum(tree, "memo-a") == 3
-        assert degree_sum(lonely_tree(), "memo-a") == 3
-        assert degree_sum(tree, "memo-b") == 3
-        assert calls == ["memo-a", "memo-b"]
-        del tree
-        gc.collect()
-        degree_sum(lonely_tree(), "memo-a")
-        assert calls == ["memo-a", "memo-b", "memo-a"]
+        tree, twin = lonely_tree(), lonely_tree()
+        value = total_degree(tree)
+        assert value.value == 6 and total_degree(tree) is value
+        assert total_degree(twin) is not value and total_degree(twin).value == 6
+        assert calls == [id(tree), id(twin)]
+        assert tree._memo == {total_degree: value}
+        freed = weakref.ref(value)
+        del tree, value
+        assert freed() is None

@@ -19,7 +19,7 @@ from arbora.weak_order import (
     weak_compare,
 )
 
-from conftest import signed_trees
+from conftest import corpus, signed_trees
 
 
 def narayana(n, k):
@@ -175,7 +175,7 @@ class TestIntervalSize:
                     assert _interval_size(low, high) == size
 
     def test_equals_all_orders_scan_on_every_fiber(self):
-        trees = list(catalog.corpus(max_nu=5, include_named=False))
+        trees = list(corpus(max_nu=5, include_named=False))
         trees += [catalog.htree_eq(), catalog.htree_diff()]
         checked = 0
         for tree in trees:

@@ -4,7 +4,9 @@
 Runs `arbora.cli.main` in this process for every command below on every
 ninth tree of `corpus(max_nu=MAX_NU)` (named trees excluded), the named
 trees and two phantom trees, and prints one JSON line per (command, tree):
-the exit code and the SHA-256 of stdout and of stderr.  Two checkouts
+the exit code and the SHA-256 of stdout and of stderr.  Trees with at most
+ALL_ORDERS_NU standard vertices also run `congruence-check --all-orders`,
+which diagnoses every base order, not only the sorted one.  Two checkouts
 print the same lines exactly when their CLI output is byte-identical, so
 comparing two source trees is one `diff`:
 
@@ -26,6 +28,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from arbora.catalog import NAMED_TREES, corpus
 from arbora.cli import main
 from arbora.trees import tree_to_json
+
+ALL_ORDERS_NU = 5  # nu! bases of nu! orders each: 14 400 orders at nu = 5
 
 PHANTOM_TREES = {
     "phantom-leaf": {
@@ -57,6 +61,7 @@ def trees(max_nu: int) -> dict:
 def commands(path: str, document: dict) -> list:
     standard = [v["id"] for v in document["vertices"] if not v.get("phantom", False)]
     order = ",".join(map(str, sorted(standard)))
+    every_base = [["congruence-check", path, "--all-orders"]] if len(standard) <= ALL_ORDERS_NU else []
     return [
         ["blocks", path],
         ["complex", path],
@@ -70,6 +75,7 @@ def commands(path: str, document: dict) -> list:
         ["isometric", path, path],
         ["congruence-check", path, "--order", order],
         ["signature-sweep", path],
+        *every_base,
     ]
 
 

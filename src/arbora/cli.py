@@ -7,8 +7,8 @@ verification.  Output is deterministic byte for byte.  Each command imports
 the modules it uses, so starting the front-end loads only the tree layer.
 
 A cold start loads `argparse`, `json`, `arbora.errors` and `arbora.trees`,
-whose own imports are `enum`, `functools`, `itertools`, `operator`,
-`typing`, `weakref` and `collections`.  The package's records subclass
+whose own imports are `collections` (errors) and `json`, `enum`,
+`functools`, `itertools`, `operator` and `typing` (trees).  The package's records subclass
 `trees.Record`, so no command loads `dataclasses` (which pulls in `inspect`,
 `ast`, `dis` and `tokenize`), and only `barycenter` and `minkowski` (and
 `geometry.para_summands`) load `fractions`.  `polytope` and `flipgraph` write

@@ -7,7 +7,8 @@ clique route stays available in the tests as an independent oracle.
 Internally a face is an `int` mask over the relevant blocks and the faces
 of a facet are its submasks; frozensets are built only for the faces
 returned, in canonical order: by the sorted tuple of their blocks' sorted
-members.
+members.  The f-vector counts the faces without holding them, as the
+cliques of the graph of blocks that share a facet.
 """
 
 from __future__ import annotations
@@ -18,17 +19,19 @@ from typing import Iterable, Optional
 from .blocks import _mask, enumerate_blocks
 from .errors import NotABuildingBlock
 from .spines import flip_graph
-from .trees import Record, SignedTree
+from .trees import Record, SignedTree, tree_cached
 
 
+@tree_cached
 def _numbered_facets(tree: SignedTree) -> tuple:
     """The relevant blocks, numbered by sorted members, and the facets as masks.
 
     Ascending bit indices (`_indices`) then sort faces in canonical order.
+    Built once per tree: `complex` reads both the f-vector and the facets.
     """
     blocks = tuple(sorted(enumerate_blocks(tree), key=sorted))
     bit = {_mask(tree, block): 1 << i for i, block in enumerate(blocks)}
-    return blocks, [sum(bit[m] for *_, m in arcs) for arcs in flip_graph(tree).arcs]
+    return blocks, tuple(sum(bit[m] for _, _, m in arcs) for arcs in flip_graph(tree).arcs)
 
 
 def _indices(mask: int) -> tuple:
@@ -67,14 +70,33 @@ class ComplexStats(Record):
 def complex_stats(tree: SignedTree) -> ComplexStats:
     """The f-vector and the number of facets through each block.
 
-    The f-vector is the popcount histogram of the submasks of the facets.
+    The nested complex is the clique complex of compatibility, and two
+    blocks are compatible exactly when they share a facet, so its faces are
+    the cliques of the graph "two blocks share a facet".  They are counted,
+    not held: a walk on an explicit stack extends each clique only by its
+    common neighbours of higher number, so it meets every face once.
     """
-    _, facets = _numbered_facets(tree)
-    f = Counter(face.bit_count() for face in _faces(facets))
-    incidence = Counter(i for facet in facets for i in _indices(facet))
-    return ComplexStats(
-        tuple(f[k] for k in range(tree.nu)), tuple(sorted(incidence.values()))
-    )
+    blocks, facets = _numbered_facets(tree)
+    neighbours = [0] * len(blocks)  # per block, the blocks that share a facet with it
+    through = [0] * len(blocks)  # per block, the facets through it
+    for facet in facets:
+        rest = facet
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            neighbours[i] |= facet
+            through[i] += 1
+            rest ^= low
+    f = [1] + [0] * len(blocks)  # faces by size: at least nu entries
+    stack = [(1, neighbours[i] >> i + 1 << i + 1) for i in range(len(blocks))]
+    while stack:  # (clique size, its common neighbours above its highest block)
+        size, higher = stack.pop()
+        f[size] += 1
+        while higher:
+            low = higher & -higher
+            higher ^= low
+            stack.append((size + 1, higher & neighbours[low.bit_length() - 1]))
+    return ComplexStats(tuple(f[: tree.nu]), tuple(sorted(n for n in through if n)))
 
 
 def link_faces(tree: SignedTree, block: Iterable) -> tuple:

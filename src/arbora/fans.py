@@ -104,29 +104,31 @@ def _sweep(tree: SignedTree, order: Iterable) -> list:
     """
     standard, paths, adjacency = tree.standard, tree.path_masks, tree.adjacency
     positives, deleted = tree.positive_mask, tree.negative_mask
-    swept, arcs = [], []
+    swept, arcs = [], []  # the swept vertices, latest first
     for i in order:
-        bit = 1 << i
-        positive = positives & bit
-        wanted = 1 if positive else len(adjacency[standard[i]])
-        tails = []
-        for j in reversed(swept):
-            row = paths[j]
-            if row[i] & deleted:
-                continue
-            for t in tails:
-                if not row[t] & deleted:
+        bit, here = 1 << i, paths[i]
+        if positives & bit:  # one arc, from the latest vertex held together with i
+            for j in swept:
+                if not here[j] & deleted:
+                    arcs.append((j, i))
                     break
-            else:
-                tails.append(j)
-                arcs.append((j, i))
-                if len(tails) == wanted:
-                    break
-        swept.append(i)
-        if positive:
             deleted |= bit
         else:
+            wanted, tails = len(adjacency[standard[i]]), []
+            for j in swept:
+                if here[j] & deleted:
+                    continue
+                row = paths[j]
+                for t in tails:
+                    if not row[t] & deleted:
+                        break
+                else:
+                    tails.append(j)
+                    arcs.append((j, i))
+                    if len(tails) == wanted:
+                        break
             deleted &= ~bit
+        swept.insert(0, i)
     arcs.sort()
     return arcs
 
@@ -138,8 +140,7 @@ def fiber(tree: SignedTree, spine: Spine) -> tuple:
     """
     if not spine.is_maximal:
         raise NotMaximal("fibers are defined for maximal spines")
-    index = tree.standard_index
-    if len(spine.nodes) != tree.nu or any(v not in index for (v,) in spine.nodes):
+    if len(spine.nodes) != tree.nu or not spine.vertices <= tree.standard_set:
         raise InvalidSpine("spine labels are not standard vertices of the tree")
     return spine._fiber
 
@@ -211,16 +212,18 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
 
     # (a) fibers partition the orders; each order's sweep names its cone
     fibers = [fiber(tree, s) for s in graph.spines]
-    owner = {}  # order -> the index of the spine whose fiber holds it
-    for i, fib in enumerate(fibers):
-        for order in fib:
-            if order in owner:
-                failures.append(("duplicate-order", order))
-            owner[order] = i
+    owner = {order: i for i, fib in enumerate(fibers) for order in fib}  # its spine's index
     order_count = sum(map(len, fibers))
-    cone = {tuple(arc[:2] for arc in arcs): i for i, arcs in enumerate(graph.arcs)}
-    for swept in permutations(range(nu)):
-        order = tuple(standard[k] for k in swept)
+    if len(owner) != order_count:  # some order is in two fibers, or twice in one
+        seen = set()
+        for fib in fibers:
+            for order in fib:
+                if order in seen:
+                    failures.append(("duplicate-order", order))
+                seen.add(order)
+    cone = {tuple([(t, h) for t, h, _ in arcs]): i for i, arcs in enumerate(graph.arcs)}
+    # both walks list the orders by position, so they run in step
+    for swept, order in zip(permutations(range(nu)), permutations(standard)):
         i = cone.get(tuple(_sweep(tree, swept)))
         if i is None:
             failures.append(("sweep-misses-facet", order))
@@ -236,22 +239,24 @@ def fan_cover_check(tree: SignedTree, max_nu: int = 8) -> FanCertificate:
     before = [_always_before(tree, fib) for fib in fibers]
     for i, (fib, arcs, targets) in enumerate(zip(fibers, graph.arcs, graph.neighbors)):
         for (iu, iv, _), j in zip(arcs, targets):
-            u, v = standard[iu], standard[iv]
             if not before[i][iv] >> iu & 1:
+                u, v = standard[iu], standard[iv]
                 for order in fib:
                     if order.index(u) > order.index(v):
                         failures.append(("wall-side", (u, v, order)))
             if not before[j][iu] >> iv & 1:
+                u, v = standard[iu], standard[iv]
                 for order in fibers[j]:
                     if order.index(v) > order.index(u):
                         failures.append(("wall-side-neighbor", (u, v, order)))
 
     # (c) simplicial cones: rays independent modulo the all-ones line
     for spine, arcs in zip(graph.spines, graph.arcs):
-        sinks = [full ^ mask for *_, mask in arcs]
+        sinks = [full ^ mask for _, _, mask in arcs]
+        ends = [(t, h, 1 << t, 1 << h) for t, h, _ in arcs]
         for sink in sinks:
-            for t, h, _ in arcs:
-                if sink >> t & 1 and not sink >> h & 1:
+            for t, h, tail, head in ends:
+                if sink & tail and not sink & head:
                     members = [v for k, v in enumerate(standard) if sink >> k & 1]
                     witness = (members, standard[t], standard[h])
                     failures.append(("ray-violates-arc", witness))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from math import comb
+from operator import ne
 from typing import Iterable, Optional
 
 from .blocks import _mask, _span, enumerate_blocks
@@ -56,16 +57,20 @@ def vertex_point(tree: SignedTree, spine: Spine) -> dict:
 def _point(tree: SignedTree, arcs: tuple) -> dict:
     """`vertex_point` on the checked index arcs of a spine, keyed in standard-index order."""
     nu, negatives, positives = tree.nu, tree.negative_mask, tree.positive_mask
-    branches = [[] for _ in range(nu)]
+    sums, squares = [0] * nu, [0] * nu  # per vertex, of its branch sizes
     for tail, head, mask in arcs:
         if negatives >> head & 1:
-            branches[head].append(mask.bit_count())
+            size = mask.bit_count()
+            sums[head] += size
+            squares[head] += size * size
         if positives >> tail & 1:
-            branches[tail].append(nu - mask.bit_count())
+            size = nu - mask.bit_count()
+            sums[tail] += size
+            squares[tail] += size * size
     coords = {}
-    for i, (v, sizes) in enumerate(zip(tree.standard, branches)):
-        pairs = sum(a * b for k, a in enumerate(sizes) for b in sizes[:k])
-        count = 1 + sum(sizes) + pairs
+    for i, v in enumerate(tree.standard):
+        total = sums[i]
+        count = 1 + total + (total * total - squares[i]) // 2  # the pairwise products
         coords[v] = count if negatives >> i & 1 else nu + 1 - count
     return coords
 
@@ -139,7 +144,7 @@ def _certify(tree: SignedTree, points: list) -> RealizationCertificate:
         sums = [0]  # sums[mask]: the coordinate sum over a mask, by doubling
         for value in point:
             sums += [total + value for total in sums]
-        nested = {mask for *_, mask in arcs}  # tight blocks: the source masks
+        nested = {mask for _, _, mask in arcs}  # tight blocks: the source masks
         for block, mask, bound in blocks:
             if mask in nested:
                 if sums[mask] != bound:
@@ -147,11 +152,11 @@ def _certify(tree: SignedTree, points: list) -> RealizationCertificate:
             elif sums[mask] <= bound:
                 failures.append(("strict", sorted(block)))
         for (u, v, _), j in zip(arcs, targets):
-            delta = [b - a for a, b in zip(point, coords[j])]
-            lam = delta[u]
-            if lam <= 0 or delta[v] != -lam:
+            other = coords[j]
+            lam = other[u] - point[u]
+            if lam <= 0 or other[v] - point[v] != -lam:
                 failures.append(("flip", (standard[u], standard[v])))
-            elif len(delta) - delta.count(0) > 2:  # moves off u and v too
+            elif sum(map(ne, point, other)) > 2:  # moves off u and v too
                 failures.append(("flip-support", (standard[u], standard[v])))
     if failures:
         return RealizationCertificate(False, failures[0], failure_summary(failures))

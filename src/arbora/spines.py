@@ -71,7 +71,7 @@ class Spine(Record):
 
     @cached_property
     def vertices(self) -> frozenset:
-        return frozenset(v for label in self.nodes for v in label)
+        return frozenset().union(*self.nodes)
 
     @cached_property
     def _incident(self) -> Mapping:
@@ -115,7 +115,7 @@ class Spine(Record):
 
     @cached_property
     def is_maximal(self) -> bool:
-        return all(len(label) == 1 for label in self.nodes)
+        return set(map(len, self.nodes)) <= {1}
 
     @cached_property
     def _fiber(self) -> tuple:
@@ -172,6 +172,9 @@ class SpineCheck(Record):
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+_VALID = SpineCheck(True)
 
 
 def validate_spine(tree: SignedTree, spine: Spine) -> SpineCheck:
@@ -304,11 +307,11 @@ def _source_masks(n: int, arcs) -> Optional[list]:
         t, h = arc[0], arc[1]
         incident[t].append((k, h, False))
         incident[h].append((k, t, True))
-    walk, reached = [(0, None, None, None)], {0}  # (node, arc up, parent, is tail)
+    walk, reached = [(0, None, None, None)], 1  # (node, arc up, parent, is tail); bit per node
     for i, _, _, _ in walk:
         for k, j, tail in incident[i]:
-            if j not in reached:
-                reached.add(j)
+            if not reached >> j & 1:
+                reached |= 1 << j
                 walk.append((j, k, i, tail))
     if len(walk) != n:
         return None
@@ -354,7 +357,8 @@ def _exchange(tree: SignedTree, arcs: tuple, k: int) -> tuple:
         elif tail == v and (v_negative or not from_u[head] & bit_v):
             exchanged[j], sink = (u, head, mask), full ^ mask
     exchanged[k] = (v, u, ((full ^ source) & ~sink) | gained)
-    return tuple(sorted(exchanged))
+    exchanged.sort()
+    return tuple(exchanged)
 
 
 def _check_masks(tree: SignedTree, arcs: tuple) -> SpineCheck:
@@ -369,41 +373,52 @@ def _check_masks(tree: SignedTree, arcs: tuple) -> SpineCheck:
     has at most one incoming arc when it is positive; dually for the sink
     masks of its outgoing arcs.  This accepts exactly the arcs of which
     `validate_spine` accepts the spine and whose masks are its source sets.
-    A reason names its node by vertex id.
+    A reason names its node by vertex id; every accepted spine gets the one
+    shared `_VALID`.
     """
     nu = tree.nu
     if len(arcs) != nu - 1:
         return SpineCheck(False, "arc count is not node count minus one")
-    if any(not (0 <= t < nu and 0 <= h < nu) for t, h, _ in arcs):
+    if not all(0 <= t < nu and 0 <= h < nu for t, h, _ in arcs):
         return SpineCheck(False, "arc endpoint is not a node")
     masks = _source_masks(nu, arcs)
     if masks is None:
         return SpineCheck(False, "arcs do not connect the nodes")
-    if masks != [m for *_, m in arcs]:
+    if masks != [m for _, _, m in arcs]:
         return SpineCheck(False, "source masks are not the spine's")
-    full, paths, far_ends = (1 << nu) - 1, tree.path_masks, {}
+    full, paths = (1 << nu) - 1, tree.path_masks
+    negatives, positives = tree.negative_mask, tree.positive_mask
+    tails = [[] for _ in range(nu)]  # per node, the tails of its incoming arcs so far
+    heads = [[] for _ in range(nu)]  # per node, the heads of its outgoing arcs so far
     for t, h, m in arcs:
-        for w, end, mask, part, side in (
-            (h, t, m, tree.negative_mask, "incoming"),
-            (t, h, full ^ m, tree.positive_mask, "outgoing"),
-        ):
-            bit, row = 1 << w, paths[end]
-            deleted = part & bit
-            if deleted and _span(tree, mask) & bit:
-                reason = f"{side} set at node {[tree.standard[w]]} spans several components"
-                return SpineCheck(False, reason)
-            seen = far_ends.setdefault((w, side), [])
-            if seen and (not deleted or any(not row[e] & bit for e in seen)):
-                reason = f"two {side} sets at node {[tree.standard[w]]} share a component"
-                return SpineCheck(False, reason)
-            seen.append(end)
-    return SpineCheck(True)
+        bit = 1 << h  # the incoming side at h
+        deleted = negatives & bit
+        if deleted and _span(tree, m) & bit:
+            return _separation_failure(tree, h, "incoming set at node {} spans several components")
+        seen = tails[h]
+        if seen and (not deleted or any(not paths[t][e] & bit for e in seen)):
+            return _separation_failure(tree, h, "two incoming sets at node {} share a component")
+        seen.append(t)
+        bit = 1 << t  # the outgoing side at t
+        deleted = positives & bit
+        if deleted and _span(tree, full ^ m) & bit:
+            return _separation_failure(tree, t, "outgoing set at node {} spans several components")
+        seen = heads[t]
+        if seen and (not deleted or any(not paths[h][e] & bit for e in seen)):
+            return _separation_failure(tree, t, "two outgoing sets at node {} share a component")
+        seen.append(h)
+    return _VALID
+
+
+def _separation_failure(tree: SignedTree, w: int, reason: str) -> SpineCheck:
+    """A failed separation check at node w: the reason names the node by vertex id."""
+    return SpineCheck(False, reason.format([tree.standard[w]]))
 
 
 def _checked(tree: SignedTree, arcs: tuple, what: str) -> tuple:
     """The index arcs, once `_check_masks` accepts them; else `InvalidSpine`."""
     check = _check_masks(tree, arcs)
-    if not check:
+    if not check.ok:
         raise InvalidSpine(f"{what}: {check.reason}")
     return arcs
 
@@ -480,7 +495,7 @@ def flip_graph(tree: SignedTree) -> FlipGraph:
 
     pairs = _sweep(tree, range(tree.nu))
     seed = tuple((t, h, m) for (t, h), m in zip(pairs, _source_masks(tree.nu, pairs)))
-    found = {tuple(sorted(m for *_, m in seed)): 0}  # nested set -> discovery number
+    found = {tuple(sorted([m for _, _, m in seed])): 0}  # nested set -> discovery number
     queue = [seed]  # the arcs of each spine, by discovery number
     flips = []  # per discovery number, the numbers of its flips
     for arcs in queue:
@@ -488,7 +503,7 @@ def flip_graph(tree: SignedTree) -> FlipGraph:
         targets = []
         for k in range(len(arcs)):
             flipped = _exchange(tree, arcs, k)
-            j = found.setdefault(tuple(sorted(m for *_, m in flipped)), len(queue))
+            j = found.setdefault(tuple(sorted([m for _, _, m in flipped])), len(queue))
             if j == len(queue):
                 queue.append(flipped)
             elif queue[j] != flipped:
@@ -498,7 +513,9 @@ def flip_graph(tree: SignedTree) -> FlipGraph:
     del found  # freed before the ranking
     nu = tree.nu  # the spines sort by their (tail, head) pairs, keyed small as t * nu + h
     ranked = sorted(range(len(queue)), key=lambda i: [t * nu + h for t, h, _ in queue[i]])
-    rank = {i: r for r, i in enumerate(ranked)}
+    rank = [0] * len(queue)
+    for r, i in enumerate(ranked):
+        rank[i] = r
     return FlipGraph(
         tree.standard,
         tuple(tuple(rank[j] for j in flips[i]) for i in ranked),

@@ -176,7 +176,7 @@ class SignedTree(Record):
     def standard(self) -> tuple:
         return tuple(v for v, ph in zip(self.vertices, self.phantoms) if not ph)
 
-    @property
+    @cached_property
     def nu(self) -> int:
         return len(self.standard)
 

@@ -4,15 +4,19 @@ Fixing a base order turns the flip graph into a DAG (orient each flip by
 the base positions of the exchanged arc endpoints).  The same data gives
 the h-vector by counting ordered arcs per maximal spine, and the fiber
 diagnostics that show when the sweep fibers fail to quotient the weak
-order.  A fiber is a weak-order interval when it holds every order between
-its minimum and maximum; those orders are counted by a DP over down-sets
-(`_interval_size`), not listed.
+order.  Orders are compared by their inversion masks against the base, all
+nu! of them from one walk over prefixes (`_inversion_masks`).  A fiber is a
+weak-order interval when it holds every order between its minimum and
+maximum, that is, when it is closed under the upward covers that stay below
+its maximum (`_closed_upward`); nothing is counted or listed beyond it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import reduce
 from itertools import permutations
+from operator import and_, or_
 from typing import Iterable, Optional
 
 from .errors import InvalidOrder, VerificationFailure
@@ -137,34 +141,38 @@ class FiberReport(Record):
         )
 
 
-def _interval_size(low: tuple, high: tuple) -> int:
-    """The number of orders in the weak-order interval [low, high], low <= high.
+def _inversion_masks(tree: SignedTree, base: tuple) -> tuple:
+    """(pair bits, masks): the inversion mask against the base of every order.
 
-    They are the orders that agree with low on every pair where low and
-    high agree: the linear extensions of the intersection of two linear
-    orders.  Counting linear extensions is #P-complete even in dimension two
-    (Dittmer-Pak), so they are counted by a DP over down-sets, at most
-    2^nu * nu steps: `ways` maps each down-set of one size, vertex i of low
-    as bit i, to the number of orders of it as a prefix.
+    `bits[i][j]` (= `bits[j][i]`) is the bit of the pair of standard indices
+    i and j, the pairs numbered as the base lists them.  The masks come in
+    the order of `permutations(tree.standard)`, from one walk over the
+    prefixes, level by level: a vertex x placed while the vertices of U are
+    unplaced (x among them) inverts its pair with each vertex of U that the
+    base puts before it, the table entry `add[x][U]`.
     """
-    at = {v: i for i, v in enumerate(high)}
-    below = []  # per vertex of low, the earlier vertices of low that high keeps earlier
-    for j, v in enumerate(low):
-        mask = 0
-        for i in range(j):
-            if at[low[i]] < at[v]:
-                mask |= 1 << i
-        below.append(mask)
-    ways = {0: 1}
-    for _ in low:
-        grown = {}
-        for down, count in ways.items():
-            for i, need in enumerate(below):
-                bit = 1 << i
-                if not down & bit and need & down == need:
-                    grown[down | bit] = grown.get(down | bit, 0) + count
-        ways = grown
-    return ways[(1 << len(low)) - 1]
+    nu, index, pos = tree.nu, tree.standard_index, _positions(tree, base)
+    bits = [[0] * nu for _ in range(nu)]
+    pairs = [(index[u], index[v]) for i, u in enumerate(base) for v in base[i + 1 :]]
+    for k, (i, j) in enumerate(pairs):
+        bits[i][j] = bits[j][i] = 1 << k
+    add = []
+    for x in range(nu):
+        row = [0]  # row[U], doubled over the bits of U
+        for u in range(nu):
+            bit = bits[u][x] if pos[u] < pos[x] else 0
+            row += [mask | bit for mask in row]
+        add.append(row)
+    steps = [(1 << x, add[x]) for x in range(nu)]
+    prefixes = [((1 << nu) - 1, 0)]  # (unplaced, inversion mask) per prefix
+    for _ in range(nu):
+        prefixes = [
+            (unplaced ^ bit, mask | row[unplaced])
+            for unplaced, mask in prefixes
+            for bit, row in steps
+            if unplaced & bit
+        ]
+    return bits, [mask for _, mask in prefixes]
 
 
 def congruence_diagnostics(
@@ -180,63 +188,72 @@ def congruence_diagnostics(
     """
     check_bound(tree, max_nu)
     base = _check_order(tree, base)
+    bits, all_masks = _inversion_masks(tree, base)
+    masks = dict(zip(permutations(tree.standard), all_masks))
+    fibers = [fiber(tree, s) for s in enumerate_maximal_spines(tree)]
     index = tree.standard_index
-    pairs = [(index[u], index[v]) for i, u in enumerate(base) for v in base[i + 1 :]]
-    base_pairs = [(i, j, 1 << k) for k, (i, j) in enumerate(pairs)]  # u before v in base
-
-    def inv_mask(order: tuple) -> int:
-        pos, mask = _positions(tree, order), 0
-        for i, j, bit in base_pairs:
-            if pos[j] < pos[i]:
-                mask |= bit
-        return mask
-
-    all_orders = list(permutations(tree.standard))
-    masks = {order: inv_mask(order) for order in all_orders}
-
-    spines = enumerate_maximal_spines(tree)
-    fibers = [fiber(tree, s) for s in spines]
 
     interval_failures = []
-    fiber_min = {}
+    fiber_min = {}  # fiber index -> the inversion mask of its minimum
     fiber_max = {}
     for idx, fib in sorted(enumerate(fibers), key=lambda pair: -len(pair[1])):
-        meet = None
-        join = None
-        for order in fib:
-            mask = masks[order]
-            meet = mask if meet is None else meet & mask
-            join = mask if join is None else join | mask
-        bottom = [o for o in fib if masks[o] == meet]
-        top = [o for o in fib if masks[o] == join]
-        if not bottom or not top:
+        inside = [masks[order] for order in fib]
+        held = set(inside)
+        meet = reduce(and_, held) if held else None
+        join = reduce(or_, held) if held else None
+        if meet not in held or join not in held:
             interval_failures.append((idx, "no unique extremum"))
         else:
-            fiber_min[idx] = bottom[0]
-            fiber_max[idx] = top[0]
-            if _interval_size(bottom[0], top[0]) != len(fib):
+            fiber_min[idx], fiber_max[idx] = meet, join
+            if len(held) > 1 and not _closed_upward(fib, inside, held, join, bits, index):
                 interval_failures.append((idx, "misses interior orders"))
 
     down_failure = None
     up_failure = None
-    owner = {order: idx for idx, fib in enumerate(fibers) for order in fib}
-    if len(fiber_min) == len(spines) and len(owner) == len(all_orders):
-        for order in all_orders:
-            for i in range(len(order) - 1):
-                swapped = list(order)
-                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                other = tuple(swapped)
-                if masks[order] | masks[other] != masks[other]:
+    owner = {masks[order]: idx for idx, fib in enumerate(fibers) for order in fib}
+    if len(fiber_min) == len(fibers) and len(owner) == len(all_masks):
+        nu = tree.nu
+        for order, mask in zip(permutations(range(nu)), all_masks):
+            lo = owner[mask]
+            for i in range(nu - 1):
+                bit = bits[order[i]][order[i + 1]]
+                if mask & bit:
                     continue  # keep only covers order <= other
-                lo, hi = owner[order], owner[other]
-                if down_failure is None:
-                    a, b = masks[fiber_min[lo]], masks[fiber_min[hi]]
-                    if a | b != b:
-                        down_failure = (order, other)
-                if up_failure is None:
-                    a, b = masks[fiber_max[lo]], masks[fiber_max[hi]]
-                    if a | b != b:
-                        up_failure = (order, other)
+                hi = owner[mask | bit]
+                if hi == lo:
+                    continue
+                if down_failure is None and fiber_min[lo] & ~fiber_min[hi]:
+                    down_failure = _swapped_pair(tree, order, i)
+                if up_failure is None and fiber_max[lo] & ~fiber_max[hi]:
+                    up_failure = _swapped_pair(tree, order, i)
             if down_failure and up_failure:
                 break
     return FiberReport(tuple(interval_failures), down_failure, up_failure)
+
+
+def _closed_upward(orders, masks: list, held: set, join: int, bits: list, index) -> bool:
+    """Whether every upward cover of an order, with its mask inside `join`, has its mask held.
+
+    The orders, with their inversion `masks`, hold those of the least and the
+    greatest mask, the meet and the join of them all.  Every order between
+    the two is reached from the least by upward covers (adjacent swaps that
+    add one inversion) that stay below the greatest, so the orders are the
+    whole weak-order interval exactly when this closure holds.
+    """
+    for order, mask in zip(orders, masks):
+        prev = index[order[0]]
+        for v in order[1:]:
+            cur = index[v]
+            bit = bits[prev][cur]
+            if bit & join and not mask & bit and mask | bit not in held:
+                return False
+            prev = cur
+    return True
+
+
+def _swapped_pair(tree: SignedTree, order: tuple, i: int) -> tuple:
+    """An order of standard indices and its swap at position i, by vertex id."""
+    ids = [tree.standard[k] for k in order]
+    swapped = list(ids)
+    swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+    return tuple(ids), tuple(swapped)

@@ -80,6 +80,16 @@ class TestCommands:
         assert document["f_vector"] == [1, 10, 24, 16]
         assert len(document["facets"]) == 16
 
+    def test_complex_numbers_the_facets_once(self, tripod_file, capsys, monkeypatch):
+        # the f-vector and the facet list share one numbering of the blocks
+        from arbora import complexes
+
+        calls, real = [], complexes.flip_graph
+        monkeypatch.setattr(complexes, "flip_graph", lambda tree: calls.append(tree) or real(tree))
+        code, out = run_cli(["complex", tripod_file], capsys)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_polytope_pass(self, tripod_file, capsys):
         code, out = run_cli(["polytope", tripod_file], capsys)
         assert code == 0

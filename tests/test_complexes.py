@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -7,6 +9,8 @@ from arbora.blocks import compatible, enumerate_blocks
 from arbora.complexes import (
     ComplexStats,
     PseudoManifoldCheck,
+    _faces,
+    _numbered_facets,
     complex_stats,
     enumerate_nested_sets,
     is_pseudomanifold,
@@ -132,6 +136,40 @@ class TestMasksAgreeWithFrozensets:
     def test_one_vertex_witness(self, tree):
         assert is_pseudomanifold(tree) == PseudoManifoldCheck(False, (frozenset(), 0))
         assert complex_stats(tree) == ComplexStats((1,), ())
+
+
+def submask_histogram(tree) -> tuple:
+    """Oracle: the f-vector as the popcount histogram of every submask of every facet."""
+    _, facets = _numbered_facets(tree)
+    sizes = Counter(face.bit_count() for face in _faces(facets))
+    return tuple(sizes[k] for k in range(tree.nu))
+
+
+def seeded_phantom_trees(count: int, seed: int) -> list:
+    """Random trees of 2 to 9 vertices, about a third of them phantom, at most 7 standard."""
+    rng, found = random.Random(seed), []
+    while len(found) < count:
+        n = rng.randint(2, 9)
+        edges = [(rng.randint(1, i - 1), i) for i in range(2, n + 1)]
+        phantoms = [rng.random() < 0.35 for _ in range(n)]
+        phantoms[rng.randrange(n)] = False
+        specs = [(i + 1, rng.choice("-+"), phantoms[i]) for i in range(n)]
+        tree = build_tree(specs, edges)
+        if tree.nu <= 7:
+            found.append(tree)
+    return found
+
+
+class TestCliqueCount:
+    def test_equals_submask_histogram_on_corpus(self):
+        for tree in corpus(max_nu=6):
+            assert complex_stats(tree).f_complex == submask_histogram(tree), tree
+
+    def test_equals_submask_histogram_on_phantom_trees(self):
+        trees = seeded_phantom_trees(60, seed=21)
+        assert sum(tree.nu < len(tree.vertices) for tree in trees) > 30
+        for tree in trees:
+            assert complex_stats(tree).f_complex == submask_histogram(tree), tree
 
 
 class TestFacets:

@@ -11,7 +11,8 @@ from arbora.spines import enumerate_maximal_spines
 from arbora.weak_order import (
     Comparison,
     FiberReport,
-    _interval_size,
+    _closed_upward,
+    _inversion_masks,
     congruence_diagnostics,
     h_vector,
     increasing_flip_digraph,
@@ -152,6 +153,36 @@ class TestCongruenceDiagnostics:
         assert report == FiberReport(((39, "misses interior orders"),), None, None)
 
 
+def _interval_size(low: tuple, high: tuple) -> int:
+    """Oracle: the number of orders in the weak-order interval [low, high], low <= high.
+
+    They are the orders that agree with low on every pair where low and
+    high agree: the linear extensions of the intersection of two linear
+    orders.  Counting linear extensions is #P-complete even in dimension two
+    (Dittmer-Pak), so they are counted by a DP over down-sets, at most
+    2^nu * nu steps: `ways` maps each down-set of one size, vertex i of low
+    as bit i, to the number of orders of it as a prefix.
+    """
+    at = {v: i for i, v in enumerate(high)}
+    below = []  # per vertex of low, the earlier vertices of low that high keeps earlier
+    for j, v in enumerate(low):
+        mask = 0
+        for i in range(j):
+            if at[low[i]] < at[v]:
+                mask |= 1 << i
+        below.append(mask)
+    ways = {0: 1}
+    for _ in low:
+        grown = {}
+        for down, count in ways.items():
+            for i, need in enumerate(below):
+                bit = 1 << i
+                if not down & bit and need & down == need:
+                    grown[down | bit] = grown.get(down | bit, 0) + count
+        ways = grown
+    return ways[(1 << len(low)) - 1]
+
+
 def scan_interval_size(low, high, inversions) -> int:
     """Oracle: the orders o with inv(low) <= inv(o) <= inv(high), among all
     orders; `inversions` maps every order to its inversion set."""
@@ -191,3 +222,46 @@ class TestIntervalSize:
                     assert _interval_size(low[0], high[0]) == size
                     checked += 1
         assert checked > 5000
+
+
+def oracle_trees() -> list:
+    return [*corpus(max_nu=5, include_named=False), catalog.htree_eq(), catalog.htree_diff()]
+
+
+class TestCoverClosure:
+    def test_inversion_masks_equal_inversion_sets(self):
+        for tree in oracle_trees():
+            index = tree.standard_index
+            for base in (tree.standard, tree.standard[::-1], tree.standard[1::2] + tree.standard[::2]):
+                bits, masks = _inversion_masks(tree, base)
+                assert sorted(bits[i][j] for j in range(tree.nu) for i in range(j)) == [
+                    1 << k for k in range(tree.nu * (tree.nu - 1) // 2)
+                ]
+                orders = list(permutations(tree.standard))
+                assert len(masks) == len(orders)
+                for order, mask in zip(orders, masks):
+                    pairs = inversion_set(base, order)
+                    assert mask == sum(bits[index[u]][index[v]] for u, v in pairs)
+
+    def test_equals_interval_size_oracle_on_every_fiber(self):
+        # each fiber as it is, and thinned by its second order
+        verdicts = {True: 0, False: 0}
+        for tree in oracle_trees():
+            index = tree.standard_index
+            for base in (tree.standard, tree.standard[::-1]):
+                bits, all_masks = _inversion_masks(tree, base)
+                masks = dict(zip(permutations(tree.standard), all_masks))
+                for spine in enumerate_maximal_spines(tree):
+                    orders = fiber(tree, spine)
+                    for kept in (orders, orders[:1] + orders[2:]):
+                        inside = [masks[o] for o in kept]
+                        held = set(inside)
+                        meet, join = min(held, key=int.bit_count), max(held, key=int.bit_count)
+                        if any(meet & ~m or m & ~join for m in held):
+                            continue  # no least or no greatest order
+                        low = next(o for o in kept if masks[o] == meet)
+                        high = next(o for o in kept if masks[o] == join)
+                        verdict = _closed_upward(kept, inside, held, join, bits, index)
+                        assert verdict == (_interval_size(low, high) == len(kept)), (tree, base)
+                        verdicts[verdict] += 1
+        assert verdicts[True] > 10000 and verdicts[False] > 1000, verdicts

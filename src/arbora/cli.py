@@ -28,8 +28,8 @@ from .trees import SignedTree, build_tree, check_bound, signature_classes, tree_
 
 
 # `congruence-check --all-orders` diagnoses nu! bases over nu! orders each:
-# about 4 s (path) to 6 s (star) at nu = 6 on 2 cores.  At nu = 7 one base
-# took 0.03 s (path) to 0.07 s (star), so the 5 040 bases need 2 to 6 min.
+# about 1 s (path) to 2 s (star) at nu = 6 on 2 cores.  At nu = 7 one base
+# took 0.01 s (path) to 0.025 s (star), so the 5 040 bases need 1 to 2 min.
 ALL_ORDERS_MAX_NU = 6
 
 # `flipgraph`, `complex` and `singletons` hold every maximal spine: on a
@@ -75,16 +75,24 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_complex(args) -> int:
-    from .complexes import complex_stats, enumerate_nested_sets
+    """The f-vector and the facets, both read off one numbering of the blocks.
+
+    A facet is written as its blocks' member lists in ascending block
+    number, the order `enumerate_nested_sets` gives, from one list per
+    block shared by every facet, so no face is built as a set.
+    """
+    from .complexes import _indices, _numbered_facets, complex_stats
 
     tree = _load_tree(args.tree)
     check_bound(tree, SPINES_MAX_NU)
     stats = complex_stats(tree)
-    facets = enumerate_nested_sets(tree, max_only=True)
+    blocks, facets = _numbered_facets(tree)
+    members = [_ids(block) for block in blocks]
+    keyed = sorted((facet.bit_count(), _indices(facet)) for facet in facets)
     _emit(
         {
             "f_vector": list(stats.f_complex),
-            "facets": [sorted(_ids(b) for b in facet) for facet in facets],
+            "facets": [[members[i] for i in indices] for _, indices in keyed],
         }
     )
     return 0

@@ -61,7 +61,7 @@ def trees(max_nu: int) -> dict:
 def commands(path: str, document: dict) -> list:
     standard = [v["id"] for v in document["vertices"] if not v.get("phantom", False)]
     order = ",".join(map(str, sorted(standard)))
-    every_base = [["congruence-check", path, "--all-orders"]] if len(standard) <= ALL_ORDERS_NU else []
+    every_base = [["congruence-check", path, "--all-orders"]] * (len(standard) <= ALL_ORDERS_NU)
     return [
         ["blocks", path],
         ["complex", path],

@@ -83,8 +83,10 @@ def test_cli_digests_hash_each_command(tmp_path, capsys):
         "tripod_neg", "tripod_pos", "p3mix", "path4_neg", "htree_eq", "htree_diff", "spider7",
         "phantom-leaf", "phantom-centre",
     ]
-    every_base = [line["tree"] for line in lines if line["command"] == "congruence-check --all-orders"]
-    assert every_base == [name for name in names if name not in ("htree_eq", "htree_diff", "spider7")]
+    all_orders = "congruence-check --all-orders"
+    every_base = [line["tree"] for line in lines if line["command"] == all_orders]
+    above_five = ("htree_eq", "htree_diff", "spider7")
+    assert every_base == [name for name in names if name not in above_five]
     assert len(lines) == 12 * len(names) + len(every_base)
     refused = {(line["tree"], line["command"]) for line in lines if line["exit"] != 0}
     assert refused == {

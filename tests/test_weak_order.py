@@ -232,7 +232,8 @@ class TestCoverClosure:
     def test_inversion_masks_equal_inversion_sets(self):
         for tree in oracle_trees():
             index = tree.standard_index
-            for base in (tree.standard, tree.standard[::-1], tree.standard[1::2] + tree.standard[::2]):
+            shuffled = tree.standard[1::2] + tree.standard[::2]
+            for base in (tree.standard, tree.standard[::-1], shuffled):
                 bits, masks = _inversion_masks(tree, base)
                 assert sorted(bits[i][j] for j in range(tree.nu) for i in range(j)) == [
                     1 << k for k in range(tree.nu * (tree.nu - 1) // 2)

@@ -6,14 +6,15 @@ writes one JSON document (DOT for `flipgraph --dot`) to stdout.  Exit code
 verification.  Output is deterministic byte for byte.  Each command imports
 the modules it uses, so starting the front-end loads only the tree layer.
 
-A cold start loads `argparse`, `json`, `arbora.errors` and `arbora.trees`,
-whose own imports are `collections` (errors) and `json`, `enum`,
-`functools`, `itertools`, `operator` and `typing` (trees).  The package's records subclass
-`trees.Record`, so no command loads `dataclasses` (which pulls in `inspect`,
-`ast`, `dis` and `tokenize`), and only `barycenter` and `minkowski` (and
-`geometry.para_summands`) load `fractions`.  `polytope` and `flipgraph` write
-each maximal spine from the flip graph's index arcs, and `singletons` lists
-the orders of its directed paths, so none of them builds a `Spine`.
+A cold start loads `argparse`, `json`, `arbora.errors` and `arbora.trees`;
+`errors` imports `collections`, and `trees` imports `json`, `enum`,
+`functools`, `itertools`, `operator` and `typing`.  The package's records
+subclass `trees.Record`, so no command loads `dataclasses` (which pulls in
+`inspect`, `ast`, `dis` and `tokenize`), and only `barycenter` and
+`minkowski` (and `geometry.para_summands`) load `fractions`.  `polytope`
+and `flipgraph` write each maximal spine from the flip graph's index arcs,
+and `singletons` lists the orders of its directed paths, so none of them
+builds a `Spine`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import permutations
+from itertools import islice, permutations
 
 from .errors import ArboraError, PreconditionViolated, VerificationFailure
 from .trees import SignedTree, build_tree, check_bound, signature_classes, tree_from_json
@@ -49,10 +50,26 @@ def _load_tree(path: str) -> SignedTree:
         return tree_from_json(handle.read())
 
 
+def _dumps(document) -> str:
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
 def _emit(document) -> None:
-    sys.stdout.write(
-        json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    sys.stdout.write(_dumps(document) + "\n")
+
+
+def _emit_rows(document: dict, key: str, rows) -> None:
+    """`_emit` of the document with `key` set to the list of `rows`, a batch at a time.
+
+    The same bytes, but neither the list nor its JSON text is held whole.
+    """
+    head, marker, tail = _dumps({**document, key: []}).partition(_dumps(key) + ":[]")
+    sys.stdout.write(head + marker[:-1])
+    separator = ""
+    for batch in iter(lambda: list(islice(rows, 4096)), []):
+        sys.stdout.write(separator + _dumps(batch)[1:-1])
+        separator = ","
+    sys.stdout.write("]" + tail + "\n")
 
 
 def _ids(collection) -> list:
@@ -79,22 +96,18 @@ def cmd_complex(args) -> int:
 
     A facet is written as its blocks' member lists in ascending block
     number, the order `enumerate_nested_sets` gives, from one list per
-    block shared by every facet, so no face is built as a set.
+    block shared by every facet, so no face is built as a set; the facets
+    are written in batches.
     """
-    from .complexes import _indices, _numbered_facets, complex_stats
+    from .complexes import _canonical, _numbered_facets, complex_stats
 
     tree = _load_tree(args.tree)
     check_bound(tree, SPINES_MAX_NU)
     stats = complex_stats(tree)
     blocks, facets = _numbered_facets(tree)
     members = [_ids(block) for block in blocks]
-    keyed = sorted((facet.bit_count(), _indices(facet)) for facet in facets)
-    _emit(
-        {
-            "f_vector": list(stats.f_complex),
-            "facets": [[members[i] for i in indices] for _, indices in keyed],
-        }
-    )
+    rows = ([members[i] for i in indices] for indices in _canonical(facets))
+    _emit_rows({"f_vector": list(stats.f_complex)}, "facets", rows)
     return 0
 
 

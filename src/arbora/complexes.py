@@ -50,10 +50,14 @@ def _faces(facets: Iterable) -> set:
     return faces
 
 
+def _canonical(masks: Iterable) -> list:
+    """The set bits of each mask, the masks ordered by size and then canonically."""
+    return [indices for _, indices in sorted((m.bit_count(), _indices(m)) for m in masks)]
+
+
 def _as_faces(blocks: tuple, masks: Iterable) -> tuple:
     """The masks as faces of blocks, ordered by size and then canonically."""
-    keyed = sorted((m.bit_count(), _indices(m)) for m in masks)
-    return tuple(frozenset(blocks[i] for i in indices) for _, indices in keyed)
+    return tuple(frozenset(blocks[i] for i in indices) for indices in _canonical(masks))
 
 
 def enumerate_nested_sets(tree: SignedTree, max_only: bool = False) -> tuple:

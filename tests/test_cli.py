@@ -90,6 +90,14 @@ class TestCommands:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("count", [0, 1, 4096, 9000])
+    def test_rows_written_in_batches_match_one_document(self, count, capsys):
+        from arbora.cli import _emit_rows
+
+        rows = [[[i], [i, i + 1]] for i in range(count)]
+        _emit_rows({"z": 1, "a": [2]}, "m", iter(rows))
+        assert capsys.readouterr().out == dumps({"z": 1, "a": [2], "m": rows})
+
     def test_polytope_pass(self, tripod_file, capsys):
         code, out = run_cli(["polytope", tripod_file], capsys)
         assert code == 0

@@ -29,7 +29,6 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .blocks import Compatibility, compatibility, held_together, open_components
-from .blocks import _span
 from .errors import (
     ImproperCut,
     InvalidSpine,
@@ -366,12 +365,12 @@ def _check_masks(tree: SignedTree, arcs: tuple) -> SpineCheck:
 
     The arcs must form a tree on the standard indices, and the source masks
     recomputed from that tree alone must be the given ones.  The separation
-    rule is then read off the path masks: at a node w, the side masks of its
-    incoming arcs (source masks) each lie in one component of the tree minus
-    w (w is outside their span) and pairwise in distinct ones (w is inside
-    the path between the far ends of their arcs) when w is negative, and w
-    has at most one incoming arc when it is positive; dually for the sink
-    masks of its outgoing arcs.  This accepts exactly the arcs of which
+    rule is then read off `SignedTree.branch_masks`: at a node w, the side
+    masks of its incoming arcs (source masks) each lie in one component of
+    the tree minus w, the branch of w toward the arc's far end, and
+    pairwise in distinct ones when w is negative, and w has at most one
+    incoming arc when it is positive; dually for the sink masks of its
+    outgoing arcs.  This accepts exactly the arcs of which
     `validate_spine` accepts the spine and whose masks are its source sets.
     A reason names its node by vertex id; every accepted spine gets the one
     shared `_VALID`.
@@ -386,27 +385,31 @@ def _check_masks(tree: SignedTree, arcs: tuple) -> SpineCheck:
         return SpineCheck(False, "arcs do not connect the nodes")
     if masks != [m for _, _, m in arcs]:
         return SpineCheck(False, "source masks are not the spine's")
-    full, paths = (1 << nu) - 1, tree.path_masks
+    full, branches = (1 << nu) - 1, tree.branch_masks
     negatives, positives = tree.negative_mask, tree.positive_mask
-    tails = [[] for _ in range(nu)]  # per node, the tails of its incoming arcs so far
-    heads = [[] for _ in range(nu)]  # per node, the heads of its outgoing arcs so far
+    tails = [0] * nu  # per node, the tails of its incoming arcs so far
+    heads = [0] * nu  # per node, the heads of its outgoing arcs so far
     for t, h, m in arcs:
-        bit = 1 << h  # the incoming side at h
-        deleted = negatives & bit
-        if deleted and _span(tree, m) & bit:
-            return _separation_failure(tree, h, "incoming set at node {} spans several components")
-        seen = tails[h]
-        if seen and (not deleted or any(not paths[t][e] & bit for e in seen)):
+        bit = 1 << h  # the incoming side at h, the source mask, holds t
+        if negatives & bit:
+            branch = branches[h][t]
+            if m & ~branch:
+                return _separation_failure(tree, h, "incoming set at node {} spans several components")
+            if tails[h] & branch:
+                return _separation_failure(tree, h, "two incoming sets at node {} share a component")
+        elif tails[h]:
             return _separation_failure(tree, h, "two incoming sets at node {} share a component")
-        seen.append(t)
-        bit = 1 << t  # the outgoing side at t
-        deleted = positives & bit
-        if deleted and _span(tree, full ^ m) & bit:
-            return _separation_failure(tree, t, "outgoing set at node {} spans several components")
-        seen = heads[t]
-        if seen and (not deleted or any(not paths[h][e] & bit for e in seen)):
+        tails[h] |= 1 << t
+        bit = 1 << t  # the outgoing side at t, the sink mask, holds h
+        if positives & bit:
+            branch = branches[t][h]
+            if (full ^ m) & ~branch:
+                return _separation_failure(tree, t, "outgoing set at node {} spans several components")
+            if heads[t] & branch:
+                return _separation_failure(tree, t, "two outgoing sets at node {} share a component")
+        elif heads[t]:
             return _separation_failure(tree, t, "two outgoing sets at node {} share a component")
-        seen.append(h)
+        heads[t] |= 1 << h
     return _VALID
 
 

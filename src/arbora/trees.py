@@ -8,7 +8,8 @@ values are immutable, so every operation in the package is a pure function.
 One breadth-first walk (`SignedTree._walk`) answers paths and components,
 and gives the bit masks of the paths between standard vertices
 (`path_masks`): the one table that every separation question of blocks,
-spines and sweeps reads.  One canonical form answers every isomorphism
+spines and sweeps reads, directly or through the component masks of the
+tree minus one vertex (`branch_masks`).  One canonical form answers every isomorphism
 question: the AHU classes (Aho, Hopcroft and Ullman) of the tree rooted at
 its centroids decide signed isomorphism and the automorphism part of the
 signature orbits.  Neither recurses over the tree.
@@ -300,6 +301,34 @@ class SignedTree(Record):
                 else:
                     through[x] = through[p]
             rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def branch_masks(self) -> tuple:
+        """Entry [w][x], w != x: the standard vertices of the component of the tree minus w that holds x.
+
+        Bits as in `standard_index`; entry [w][w] is 0.  A set of standard
+        vertices without w lies in one component of the tree minus w exactly
+        when it misses the complement of the entry of any one of its members.
+        Each vertex joins the component of the first earlier vertex whose
+        path to it misses w, so a row takes nu times the degree of w steps.
+        """
+        paths, nu = self.path_masks, self.nu
+        rows = []
+        for w in range(nu):
+            bit, firsts, masks, which = 1 << w, [], [], [0] * nu  # per component: a vertex, the mask
+            for x in range(nu):
+                if x == w:
+                    continue
+                row, k = paths[x], 0
+                while k < len(firsts) and row[firsts[k]] & bit:
+                    k += 1
+                if k == len(firsts):
+                    firsts.append(x)
+                    masks.append(0)
+                masks[k] |= 1 << x
+                which[x] = k
+            rows.append(tuple([masks[which[x]] if x != w else 0 for x in range(nu)]))
         return tuple(rows)
 
     @cached_property

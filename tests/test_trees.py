@@ -192,6 +192,17 @@ def assert_path_masks_equal_paths(tree):
             assert tree.path_masks[index[u]][index[v]] == expected, (tree, u, v)
 
 
+def assert_branch_masks_equal_components(tree):
+    """Entry [w][x] holds the standard vertices of `component_containing({w}, x)`."""
+    index = tree.standard_index
+    for w in tree.standard:
+        for x in tree.standard:
+            if x != w:
+                component = tree.component_containing({w}, x)
+                expected = sum(1 << index[y] for y in component if y in index)
+                assert tree.branch_masks[index[w]][index[x]] == expected, (tree, w, x)
+
+
 class TestPathsComponents:
     def test_path(self, tripod_neg):
         assert tripod_neg.path_between(1, 3) == (1, 2, 3)
@@ -214,6 +225,15 @@ class TestPathsComponents:
     @settings(max_examples=60, deadline=None)
     def test_path_masks_equal_paths_with_phantoms(self, tree):
         assert_path_masks_equal_paths(tree)
+
+    def test_branch_masks_equal_components_on_corpus(self):
+        for tree in corpus(max_nu=5):
+            assert_branch_masks_equal_components(tree)
+
+    @given(phantom_trees(max_vertices=9))
+    @settings(max_examples=60, deadline=None)
+    def test_branch_masks_equal_components_with_phantoms(self, tree):
+        assert_branch_masks_equal_components(tree)
 
     def test_components(self, tripod_neg):
         comps = tripod_neg.components({2})

@@ -34,7 +34,7 @@ from .trees import SignedTree, build_tree, check_bound, signature_classes, tree_
 ALL_ORDERS_MAX_NU = 6
 
 # `flipgraph`, `complex` and `singletons` hold every maximal spine: on a
-# 9-vertex star (109 601 spines) they peak at 111-282 MiB, and a 10-vertex
+# 9-vertex star (109 601 spines) they peak at 109-282 MiB, and a 10-vertex
 # star has nine times as many spines, so about 1.0-2.5 GiB.
 SPINES_MAX_NU = 9
 

@@ -390,24 +390,16 @@ def _check_masks(tree: SignedTree, arcs: tuple) -> SpineCheck:
     tails = [0] * nu  # per node, the tails of its incoming arcs so far
     heads = [0] * nu  # per node, the heads of its outgoing arcs so far
     for t, h, m in arcs:
-        bit = 1 << h  # the incoming side at h, the source mask, holds t
-        if negatives & bit:
-            branch = branches[h][t]
-            if m & ~branch:
-                return _separation_failure(tree, h, "incoming set at node {} spans several components")
-            if tails[h] & branch:
-                return _separation_failure(tree, h, "two incoming sets at node {} share a component")
-        elif tails[h]:
+        deleted, branch = negatives >> h & 1, branches[h][t]  # the incoming side at h holds t
+        if deleted and m & ~branch:
+            return _separation_failure(tree, h, "incoming set at node {} spans several components")
+        if tails[h] and (not deleted or tails[h] & branch):
             return _separation_failure(tree, h, "two incoming sets at node {} share a component")
         tails[h] |= 1 << t
-        bit = 1 << t  # the outgoing side at t, the sink mask, holds h
-        if positives & bit:
-            branch = branches[t][h]
-            if (full ^ m) & ~branch:
-                return _separation_failure(tree, t, "outgoing set at node {} spans several components")
-            if heads[t] & branch:
-                return _separation_failure(tree, t, "two outgoing sets at node {} share a component")
-        elif heads[t]:
+        deleted, branch = positives >> t & 1, branches[t][h]  # the outgoing side at t holds h
+        if deleted and (full ^ m) & ~branch:
+            return _separation_failure(tree, t, "outgoing set at node {} spans several components")
+        if heads[t] and (not deleted or heads[t] & branch):
             return _separation_failure(tree, t, "two outgoing sets at node {} share a component")
         heads[t] |= 1 << h
     return _VALID

@@ -4,10 +4,10 @@ A building block is a set of standard vertices that is negative convex and
 whose complement is positive convex.  Blocks are the canonical currency of
 the whole toolkit; tubes and open subtrees are derived views connected by
 the usual bijections (tube -> interior, tube -> block, block -> tube).
-Convexity and the separation rule of spines (`held_together`) are one test
-on the one separation table of the tree (`SignedTree.path_masks`): a set is
-convex, or held together, when no deleted vertex outside it lies inside the
-smallest subtree spanning it, the union of the paths from one member.
+Convexity is one test on the separation table of the tree
+(`SignedTree.path_masks`): a set is convex when no deleted vertex outside it
+lies inside the smallest subtree spanning it, the union of the paths from
+one member (`_span`).
 """
 
 from __future__ import annotations
@@ -57,18 +57,6 @@ def _span(tree: SignedTree, mask: int) -> int:
         span |= row[low.bit_length() - 1]
         mask ^= low
     return span
-
-
-def held_together(tree: SignedTree, vertices, deleted) -> bool:
-    """No vertex of `deleted` lies on the tree path between two of `vertices`.
-
-    Both are sets of standard vertices; members of `deleted` that belong to
-    `vertices` are ignored.  A set that avoids `deleted` is held together
-    exactly when it lies in one component of the tree minus `deleted`: the
-    separation rule of spines, of the sweep and of adjacent congruence.
-    """
-    mask = _mask(tree, vertices)
-    return not _span(tree, mask) & _mask(tree, deleted) & ~mask
 
 
 def is_building_block(tree: SignedTree, subset: Iterable) -> BlockCheck:

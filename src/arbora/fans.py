@@ -8,12 +8,13 @@ vertex ids appear only in a result: a `Spine`, an order, a witness.  When
 the sweep reaches v, with the unswept negatives and the swept positives
 deleted, v receives an arc from each earlier vertex u that is held
 together with v but not with the tail of an arc that v already received,
-walking back from the latest vertex.  Two vertices are held together when
-their `SignedTree.path_masks` entry misses the deleted mask: the pair case
-of `blocks.held_together`, which `adjacent_congruent` asks too.  A
-positive vertex receives one arc, a negative one at most one per tree
-neighbour.  `fiber` lists the linear extensions of a maximal spine from the
-predecessor masks of its arcs, once per spine.  `fan_cover_check`
+walking back from the latest vertex.  Two vertices are held together (lie
+in one component of the tree minus the deleted vertices) when their
+`SignedTree.path_masks` entry misses the deleted mask, which
+`adjacent_congruent` asks too.  A positive vertex receives one arc, a
+negative one at most one per tree neighbour.  `fiber` lists the linear
+extensions of a maximal spine from the predecessor masks of its arcs, once
+per spine.  `fan_cover_check`
 certifies that the spine cones tile the braid fan in integers only: each
 order finds its cone by one lookup of its swept arcs among the flip
 graph's arcs.  The wall between

@@ -5,22 +5,21 @@ standard vertices, subject to a local separation condition: at a node with
 label U, the source sets of distinct incoming arcs live in distinct
 components of the tree minus the negative part of U, and the sink sets of
 distinct outgoing arcs in distinct components of the tree minus its
-positive part.  Every separation question here (validation, splitting,
-flips) is asked of one rule, `blocks.held_together`: no deleted vertex lies
-on the tree path between two vertices of a set.  It is answered from the
-one separation table that block convexity reads, `SignedTree.path_masks`.
-Maximal spines (all labels singletons) are the facets of the nested
-complex; contraction and splitting move between ranks; flips move between
-adjacent facets.  Inside the package a maximal spine is its *index arcs*:
-sorted (tail, head, source mask) triples whose ends and bits are standard
-indices (i for `tree.standard[i]`); vertex ids appear only where a result
-leaves this layer.  A flip is one rule on them, `_exchange`: it exchanges
-one block of the nested set.  `flip_graph`, the one place where the flips
-of a tree are enumerated, checks each spine once: the masks are recomputed
-by the one rooted walk, `_source_masks`, and the separation rule is read
-off the path masks (`_check_masks`, with `validate_spine` as its oracle).
-Its readers read the index arcs; `FlipGraph.spines` builds the `Spine`s on
-first read.  The side sets of a `Spine` come from the same walk.
+positive part.  One routine, `_separation`, decides that rule for
+`validate_spine` and the flip graph alike, on the component masks of the
+tree minus each vertex (`SignedTree.component_rows`); `split_node` reads the
+same masks.  Maximal spines (all labels singletons) are the facets of the
+nested complex; contraction and splitting move between ranks; flips move
+between adjacent facets.  Inside the package a maximal spine is its *index
+arcs*: sorted (tail, head, source mask) triples whose ends and bits are
+standard indices (i for `tree.standard[i]`); vertex ids appear only where a
+result leaves this layer.  A flip is one rule on them, `_exchange`: it
+exchanges one block of the nested set.  `flip_graph`, the one place where
+the flips of a tree are enumerated, checks each spine once (`_check_masks`):
+the masks are recomputed by the one rooted walk, `_source_masks`, and the
+separation rule is checked on them.  Its readers read the index arcs;
+`FlipGraph.spines` builds the `Spine`s on first read.  The side sets of a
+`Spine` come from the same walk.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .blocks import Compatibility, compatibility, held_together, open_components
+from .blocks import Compatibility, _mask, compatibility, open_components
 from .errors import (
     ImproperCut,
     InvalidSpine,
@@ -179,12 +178,9 @@ _VALID = SpineCheck(True)
 def validate_spine(tree: SignedTree, spine: Spine) -> SpineCheck:
     """Check the partition, tree shape, and local separation conditions.
 
-    A side set (the source set of an incoming arc, the sink set of an
-    outgoing one) never meets its node's label once the arcs form a tree,
-    so it lies in one component of the tree minus the deleted part of the
-    label (the negative part for incoming arcs, the positive part for
-    outgoing ones) exactly when it is held together without it; two side
-    sets share a component exactly when their union is held together.
+    The nodes are numbered in order and each is read as the mask of its
+    label; the separation rule is then the one of the flip graph,
+    `_separation`, on the component rows of the labels (`_label_rows`).
     """
     labels = list(spine.nodes)
     if not labels:
@@ -198,34 +194,14 @@ def validate_spine(tree: SignedTree, spine: Spine) -> SpineCheck:
         return SpineCheck(False, "labels do not partition the standard vertices")
     if len(spine.arcs) != len(labels) - 1:
         return SpineCheck(False, "arc count is not node count minus one")
-    label_set = set(labels)
-    for tail, head in spine.arcs:
-        if tail not in label_set or head not in label_set:
-            return SpineCheck(False, "arc endpoint is not a node")
+    index = {label: i for i, label in enumerate(labels)}
+    if any(t not in index or h not in index for t, h in spine.arcs):
+        return SpineCheck(False, "arc endpoint is not a node")
     if _label_source_masks(labels, spine.arcs) is None:
         return SpineCheck(False, "arcs do not connect the nodes")
-
-    for label in labels:
-        for arcs, side_set, part, side in (
-            (spine.incoming(label), spine.source_set, tree.negatives, "incoming"),
-            (spine.outgoing(label), spine.sink_set, tree.positives, "outgoing"),
-        ):
-            deleted = label & part
-            held = []
-            for arc in arcs:
-                content = side_set(arc)
-                if not held_together(tree, content, deleted):
-                    return SpineCheck(
-                        False,
-                        f"{side} set at node {sorted(label)} spans several components",
-                    )
-                if any(held_together(tree, other | content, deleted) for other in held):
-                    return SpineCheck(
-                        False,
-                        f"two {side} sets at node {sorted(label)} share a component",
-                    )
-                held.append(content)
-    return SpineCheck(True)
+    arcs = [(index[t], index[h], _mask(tree, spine.source_set((t, h)))) for t, h in spine.arcs]
+    rows = _label_rows(tree, [_mask(tree, label) for label in labels])
+    return _separation(tree, rows, arcs, lambda i: sorted(labels[i]))
 
 
 def contract_arc(spine: Spine, arc: tuple) -> Spine:
@@ -251,7 +227,8 @@ def split_node(tree: SignedTree, spine: Spine, node: Iterable, vertex) -> Spine:
     whose source sets sit in components (of the tree minus the negative part
     of the label) adjacent to it; a positive vertex is pulled above,
     symmetrically.  An arc moves to the new node exactly when its side set
-    plus the vertex is held together without the rest of the deleted part.
+    lies in the vertex's component of the tree minus the rest of the deleted
+    part (`_label_rows`).
     """
     node = frozenset(node)
     if node not in set(spine.nodes):
@@ -260,19 +237,19 @@ def split_node(tree: SignedTree, spine: Spine, node: Iterable, vertex) -> Spine:
         raise SingletonLabel(f"cannot split singleton node {sorted(node)}")
     if vertex not in node:
         raise VertexNotInLabel(f"{vertex!r} not in label {sorted(node)}")
+    if vertex not in tree.standard_set:
+        raise InvalidSpine(f"{vertex!r} is not a standard vertex of the tree")
 
     rest = node - {vertex}
     single = frozenset({vertex})
     if vertex in tree.negatives:
-        arcs, side_set, part = spine.incoming(node), spine.source_set, tree.negatives
+        arcs, side_set, side = spine.incoming(node), spine.source_set, 0
         new_arcs = [(single, rest)]
     else:
-        arcs, side_set, part = spine.outgoing(node), spine.sink_set, tree.positives
+        arcs, side_set, side = spine.outgoing(node), spine.sink_set, 1
         new_arcs = [(rest, single)]
-    others = rest & part
-    grabbed = [
-        arc for arc in arcs if held_together(tree, side_set(arc) | single, others)
-    ]
+    home = _label_rows(tree, [_mask(tree, rest), _mask(tree, single)])[side][0][1]
+    grabbed = [arc for arc in arcs if not _mask(tree, side_set(arc)) & ~home]
 
     nodes = [single, rest] + [n for n in spine.nodes if n != node]
     for t, h in spine.arcs:
@@ -360,20 +337,74 @@ def _exchange(tree: SignedTree, arcs: tuple, k: int) -> tuple:
     return tuple(exchanged)
 
 
+def _label_rows(tree: SignedTree, labels: list) -> tuple:
+    """Entry [s][i][j]: the component holding label j of the tree minus label i's part on side s.
+
+    `labels` are disjoint masks, each held by its least vertex.  In a tree
+    the component of the tree minus a set that holds x is the intersection,
+    over the members w of the set, of the component of the tree minus w
+    that holds x: entry [s][w][x] of `SignedTree.component_rows`.
+    """
+    least = [(label & -label).bit_length() - 1 for label in labels]
+    tables = ([], [])
+    for rows, table in zip(tree.component_rows, tables):
+        for label in labels:
+            row = [(1 << tree.nu) - 1] * len(labels)
+            for w in range(tree.nu):
+                if label >> w & 1:
+                    row = [c & rows[w][x] for c, x in zip(row, least)]
+            table.append(row)
+    return tables
+
+
+def _separation(tree: SignedTree, rows, arcs, name) -> SpineCheck:
+    """The spine separation rule on (tail, head, source mask) arcs of numbered nodes.
+
+    The arcs form a tree on nodes 0 .. n - 1, their masks in standard bits;
+    `rows` are `_label_rows` of the nodes' labels (`SignedTree.component_rows`
+    when the nodes are the standard vertices), and `name(i)` names node i.
+    The source set of an arc t -> h holds t, so it lies in one component of
+    the tree minus h's negative part exactly when it lies in t's, entry
+    [0][h][t]; two of them share one exactly when their components meet.  With nothing deleted that component is the full mask,
+    and a second arc shares it.  Dually for sink sets, with entry [1][t][h].
+    The first failure is reported: nodes in order, incoming before outgoing,
+    arcs in order.  Each (node, side) keeps its first, and the least is
+    taken at the end.
+    """
+    full = (1 << tree.nu) - 1
+    into, out_of = rows
+    held_in = [0] * len(into)  # per node, the components of its incoming sets so far
+    held_out = [0] * len(into)  # per node, the components of its outgoing sets so far
+    failures = {}  # (node, 0 incoming or 1 outgoing) -> the reason of its first failing arc
+    for t, h, m in arcs:
+        component = into[h][t]
+        if m & ~component:
+            failures.setdefault((h, 0), "incoming set at node {} spans several components")
+        elif held_in[h] & component:
+            failures.setdefault((h, 0), "two incoming sets at node {} share a component")
+        held_in[h] |= component
+        component = out_of[t][h]
+        if (m | component) != full:
+            failures.setdefault((t, 1), "outgoing set at node {} spans several components")
+        elif held_out[t] & component:
+            failures.setdefault((t, 1), "two outgoing sets at node {} share a component")
+        held_out[t] |= component
+    if not failures:
+        return _VALID
+    (node, _), reason = min(failures.items())
+    return SpineCheck(False, reason.format(name(node)))
+
+
 def _check_masks(tree: SignedTree, arcs: tuple) -> SpineCheck:
     """Validate a maximal spine given as sorted index arcs.
 
     The arcs must form a tree on the standard indices, and the source masks
     recomputed from that tree alone must be the given ones.  The separation
-    rule is then read off `SignedTree.branch_masks`: at a node w, the side
-    masks of its incoming arcs (source masks) each lie in one component of
-    the tree minus w, the branch of w toward the arc's far end, and
-    pairwise in distinct ones when w is negative, and w has at most one
-    incoming arc when it is positive; dually for the sink masks of its
-    outgoing arcs.  This accepts exactly the arcs of which
-    `validate_spine` accepts the spine and whose masks are its source sets.
-    A reason names its node by vertex id; every accepted spine gets the one
-    shared `_VALID`.
+    rule is then `_separation` on `SignedTree.component_rows`, the nodes
+    being the standard vertices.  This accepts exactly the arcs of which
+    `validate_spine` accepts the spine and whose masks are its source sets,
+    and names the same first failure.  A reason names its node by vertex
+    id; every accepted spine gets the one shared `_VALID`.
     """
     nu = tree.nu
     if len(arcs) != nu - 1:
@@ -385,29 +416,7 @@ def _check_masks(tree: SignedTree, arcs: tuple) -> SpineCheck:
         return SpineCheck(False, "arcs do not connect the nodes")
     if masks != [m for _, _, m in arcs]:
         return SpineCheck(False, "source masks are not the spine's")
-    full, branches = (1 << nu) - 1, tree.branch_masks
-    negatives, positives = tree.negative_mask, tree.positive_mask
-    tails = [0] * nu  # per node, the tails of its incoming arcs so far
-    heads = [0] * nu  # per node, the heads of its outgoing arcs so far
-    for t, h, m in arcs:
-        deleted, branch = negatives >> h & 1, branches[h][t]  # the incoming side at h holds t
-        if deleted and m & ~branch:
-            return _separation_failure(tree, h, "incoming set at node {} spans several components")
-        if tails[h] and (not deleted or tails[h] & branch):
-            return _separation_failure(tree, h, "two incoming sets at node {} share a component")
-        tails[h] |= 1 << t
-        deleted, branch = positives >> t & 1, branches[t][h]  # the outgoing side at t holds h
-        if deleted and (full ^ m) & ~branch:
-            return _separation_failure(tree, t, "outgoing set at node {} spans several components")
-        if heads[t] and (not deleted or heads[t] & branch):
-            return _separation_failure(tree, t, "two outgoing sets at node {} share a component")
-        heads[t] |= 1 << h
-    return _VALID
-
-
-def _separation_failure(tree: SignedTree, w: int, reason: str) -> SpineCheck:
-    """A failed separation check at node w: the reason names the node by vertex id."""
-    return SpineCheck(False, reason.format([tree.standard[w]]))
+    return _separation(tree, tree.component_rows, arcs, lambda w: [tree.standard[w]])
 
 
 def _checked(tree: SignedTree, arcs: tuple, what: str) -> tuple:
@@ -552,104 +561,6 @@ def spine_of_nested_set(tree: SignedTree, nested: Iterable) -> Spine:
     spine = kappa_extended(tree, partition)
     if spine.key() != frozenset(nested):
         raise NotNested("blocks do not form a nested set of this tree")
-    return spine
-
-
-def spine_of_nested_set_by_rules(tree: SignedTree, nested: Iterable) -> Spine:
-    """Independent reconstruction of the spine by endpoint identification.
-
-    Used as a cross-check of spine_of_nested_set: arcs (one per block) have
-    their endpoints glued according to the nesting pattern, and the labels
-    are recovered as the vertices missing from all adjacent source and sink
-    sets.
-    """
-    nested = sorted((frozenset(b) for b in nested), key=_label_key)
-    n = len(nested)
-    if n == 0:
-        return one_node_spine(tree)
-    rel = {}
-    blocks = set(nested)
-    full = tree.standard_set
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            a, b = nested[i], nested[j]
-            if a < b:
-                rel[(i, j)] = "sub"
-            elif a > b:
-                rel[(i, j)] = "sup"
-            elif not (a & b) and (a | b) not in blocks and (a | b) != full:
-                rel[(i, j)] = "bot"
-            elif (a | b) == full and (a & b) not in blocks and (a & b):
-                rel[(i, j)] = "top"
-            else:
-                raise NotNested(f"incompatible blocks {sorted(a)} and {sorted(b)}")
-
-    # union-find on endpoint slots: (i, "head") and (i, "tail")
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    for i in range(n):
-        find((i, "head"))
-        find((i, "tail"))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            r = rel[(i, j)]
-            if r == "sub" and not any(
-                (rel.get((i, k)) == "sub" and rel.get((k, j)) == "sub")
-                or (rel.get((i, k)) == "bot" and rel.get((k, j)) == "top")
-                for k in range(n)
-                if k not in (i, j)
-            ):
-                union((i, "head"), (j, "tail"))
-            if r == "bot" and i < j and not any(
-                (rel.get((i, k)) == "sub" and rel.get((k, j)) == "bot")
-                or (rel.get((i, k)) == "bot" and rel.get((k, j)) == "sup")
-                for k in range(n)
-                if k not in (i, j)
-            ):
-                union((i, "head"), (j, "head"))
-            if r == "top" and i < j and not any(
-                (rel.get((i, k)) == "top" and rel.get((k, j)) == "sub")
-                or (rel.get((i, k)) == "sup" and rel.get((k, j)) == "top")
-                for k in range(n)
-                if k not in (i, j)
-            ):
-                union((i, "tail"), (j, "tail"))
-
-    slots = {}
-    for i in range(n):
-        for end in ("head", "tail"):
-            slots.setdefault(find((i, end)), []).append((i, end))
-
-    labels = {}
-    for root, members in slots.items():
-        incoming = [i for i, end in members if end == "head"]
-        outgoing = [i for i, end in members if end == "tail"]
-        label = set(full)
-        for i in incoming:
-            label -= nested[i]
-        for i in outgoing:
-            label -= full - nested[i]
-        labels[root] = frozenset(label)
-
-    arcs = [(labels[find((i, "tail"))], labels[find((i, "head"))]) for i in range(n)]
-    spine = Spine.make(labels.values(), arcs)
-    check = validate_spine(tree, spine)
-    if not check:
-        raise NotNested(f"identification produced an invalid spine: {check.reason}")
     return spine
 
 

@@ -9,9 +9,10 @@ One breadth-first walk (`SignedTree._walk`) answers paths and components,
 and gives the bit masks of the paths between standard vertices
 (`path_masks`): the one table that every separation question of blocks,
 spines and sweeps reads, directly or through the component masks of the
-tree minus one vertex (`branch_masks`).  One canonical form answers every isomorphism
-question: the AHU classes (Aho, Hopcroft and Ullman) of the tree rooted at
-its centroids decide signed isomorphism and the automorphism part of the
+tree minus one vertex (`branch_masks`, and per spine side
+`component_rows`).  One canonical form answers every isomorphism question:
+the AHU classes (Aho, Hopcroft and Ullman) of the tree rooted at its
+centroids decide signed isomorphism and the automorphism part of the
 signature orbits.  Neither recurses over the tree.
 
 Caching policy: a value derived from one tree is either a `cached_property`
@@ -282,10 +283,10 @@ class SignedTree(Record):
 
         Entry [i][j] holds the standard vertices strictly inside the path
         between standard vertices i and j (bits and indices as in
-        `standard_index`); phantoms carry no bit.  So u and v are held
-        together without a deleted set exactly when their entry misses it,
-        and a set is held together when the entries from one member to the
-        others all miss it (`blocks.held_together`).
+        `standard_index`); phantoms carry no bit.  So u and v lie in one
+        component of the tree minus a deleted set exactly when their entry
+        misses it, and a set does when the entries from one member to the
+        others all miss it (`blocks._span`).
         """
         index = self.standard_index
         rows = []
@@ -330,6 +331,23 @@ class SignedTree(Record):
                 which[x] = k
             rows.append(tuple([masks[which[x]] if x != w else 0 for x in range(nu)]))
         return tuple(rows)
+
+    @cached_property
+    def component_rows(self) -> tuple:
+        """Entry [s][w][x]: the component holding x of the tree minus w's part on side s.
+
+        Side 0 deletes the negative vertices, side 1 the positive ones: the
+        sides of a spine node's incoming and outgoing arcs.  Row [s][w] is
+        `branch_masks[w]` when w lies on side s, else the whole tree, each
+        entry the full mask.  The component holding x of the tree minus a
+        label's part on side s is the AND of entry [s][w][x] over the
+        label's members w.
+        """
+        whole = ((1 << self.nu) - 1,) * self.nu
+        return tuple(
+            tuple(row if part >> w & 1 else whole for w, row in enumerate(self.branch_masks))
+            for part in (self.negative_mask, self.positive_mask)
+        )
 
     @cached_property
     def negative_mask(self) -> int:

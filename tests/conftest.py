@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from arbora import catalog
+from arbora.blocks import _mask, _span
 from arbora.trees import build_tree
 
 
@@ -58,6 +59,19 @@ def corpus(max_nu: int = 6, include_named: bool = True) -> tuple:
     assert max_nu <= 6
     trees, named = _shared_corpus()
     return tuple(t for t in trees if t.nu <= max_nu) + (named if include_named else ())
+
+
+def held_together(tree, vertices, deleted) -> bool:
+    """Oracle: no vertex of `deleted` lies on the tree path between two of `vertices`.
+
+    Both are sets of standard vertices; members of `deleted` that belong to
+    `vertices` are ignored.  A set that avoids `deleted` is held together
+    exactly when it lies in one component of the tree minus `deleted`: the
+    separation rule of spines, of the sweep and of adjacent congruence, on
+    frozensets, read off the path masks of the tree.
+    """
+    mask = _mask(tree, vertices)
+    return not _span(tree, mask) & _mask(tree, deleted) & ~mask
 
 
 @st.composite

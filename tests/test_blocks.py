@@ -10,7 +10,6 @@ from arbora.blocks import (
     block_of_tube,
     edge_blocks,
     enumerate_blocks,
-    held_together,
     is_building_block,
     open_components,
     reconstruct_tree,
@@ -20,7 +19,7 @@ from arbora.blocks import (
 from arbora.errors import IrrelevantBlock, UnknownEdge, UnknownVertex
 from arbora.trees import Sign, build_tree
 
-from conftest import corpus, phantom_trees, signed_trees
+from conftest import corpus, held_together, phantom_trees, signed_trees
 
 
 def blocks_as_lists(tree):

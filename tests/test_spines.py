@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 
-from arbora.blocks import held_together, is_building_block, open_components
+from arbora.blocks import is_building_block, open_components
 from arbora.catalog import NAMED_TREES
 from arbora.complexes import enumerate_nested_sets
 from arbora.errors import (
@@ -17,6 +18,7 @@ from arbora.errors import (
     VertexNotInLabel,
 )
 from arbora.fans import kappa
+from arbora.geometry import vertex_point
 from arbora.spines import (
     FlipGraph,
     Spine,
@@ -29,7 +31,6 @@ from arbora.spines import (
     one_node_spine,
     spine_from_json,
     spine_of_nested_set,
-    spine_of_nested_set_by_rules,
     spine_to_json,
     split_node,
     tree_orientation_of_spine,
@@ -37,7 +38,7 @@ from arbora.spines import (
 )
 from arbora.trees import build_tree
 
-from conftest import corpus, phantom_trees, signed_trees
+from conftest import corpus, held_together, phantom_trees, signed_trees
 
 
 def path_spine(*vertices):
@@ -94,6 +95,104 @@ def components_validate(tree, spine):
                     return (False, f"two {side} sets {where} share a component")
                 used.add(homes[0])
     return (True, None)
+
+
+def spine_of_nested_set_by_rules(tree, nested):
+    """Oracle: an independent reconstruction of the spine by endpoint identification.
+
+    A cross-check of `spine_of_nested_set`: arcs (one per block) have
+    their endpoints glued according to the nesting pattern, and the labels
+    are recovered as the vertices missing from all adjacent source and sink
+    sets.
+    """
+    nested = sorted((frozenset(b) for b in nested), key=sorted)
+    n = len(nested)
+    if n == 0:
+        return one_node_spine(tree)
+    rel = {}
+    blocks = set(nested)
+    full = tree.standard_set
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            a, b = nested[i], nested[j]
+            if a < b:
+                rel[(i, j)] = "sub"
+            elif a > b:
+                rel[(i, j)] = "sup"
+            elif not (a & b) and (a | b) not in blocks and (a | b) != full:
+                rel[(i, j)] = "bot"
+            elif (a | b) == full and (a & b) not in blocks and (a & b):
+                rel[(i, j)] = "top"
+            else:
+                raise NotNested(f"incompatible blocks {sorted(a)} and {sorted(b)}")
+
+    # union-find on endpoint slots: (i, "head") and (i, "tail")
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        parent[find(x)] = find(y)
+
+    for i in range(n):
+        find((i, "head"))
+        find((i, "tail"))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            r = rel[(i, j)]
+            if r == "sub" and not any(
+                (rel.get((i, k)) == "sub" and rel.get((k, j)) == "sub")
+                or (rel.get((i, k)) == "bot" and rel.get((k, j)) == "top")
+                for k in range(n)
+                if k not in (i, j)
+            ):
+                union((i, "head"), (j, "tail"))
+            if r == "bot" and i < j and not any(
+                (rel.get((i, k)) == "sub" and rel.get((k, j)) == "bot")
+                or (rel.get((i, k)) == "bot" and rel.get((k, j)) == "sup")
+                for k in range(n)
+                if k not in (i, j)
+            ):
+                union((i, "head"), (j, "head"))
+            if r == "top" and i < j and not any(
+                (rel.get((i, k)) == "top" and rel.get((k, j)) == "sub")
+                or (rel.get((i, k)) == "sup" and rel.get((k, j)) == "top")
+                for k in range(n)
+                if k not in (i, j)
+            ):
+                union((i, "tail"), (j, "tail"))
+
+    slots = {}
+    for i in range(n):
+        for end in ("head", "tail"):
+            slots.setdefault(find((i, end)), []).append((i, end))
+
+    labels = {}
+    for root, members in slots.items():
+        incoming = [i for i, end in members if end == "head"]
+        outgoing = [i for i, end in members if end == "tail"]
+        label = set(full)
+        for i in incoming:
+            label -= nested[i]
+        for i in outgoing:
+            label -= full - nested[i]
+        labels[root] = frozenset(label)
+
+    arcs = [(labels[find((i, "tail"))], labels[find((i, "head"))]) for i in range(n)]
+    spine = Spine.make(labels.values(), arcs)
+    check = validate_spine(tree, spine)
+    if not check:
+        raise NotNested(f"identification produced an invalid spine: {check.reason}")
+    return spine
 
 
 def frozenset_flip_arc(tree, spine, arc):
@@ -240,15 +339,17 @@ def mask_arcs(tree, spine):
 def assert_mask_check_agrees(tree, reasons):
     """`_check_masks` accepts exactly the valid spines with their own source masks.
 
-    Checked on every maximal spine, on each one-arc mutation of it (reversed
-    arc or moved head), and on each copy of it with one mask bit flipped.
+    Checked against the components oracle, reason included, on every
+    maximal spine and on each one-arc mutation of it (reversed arc or moved
+    head), and refusing each copy of it with one mask bit flipped.
     """
     from arbora.spines import _check_masks
 
     for base in enumerate_maximal_spines(tree):
         for spine in (base, *one_arc_mutations(base)):
             check = _check_masks(tree, mask_arcs(tree, spine))
-            assert check.ok == validate_spine(tree, spine).ok, (tree, spine)
+            expected = components_validate(tree, spine)
+            assert (check.ok, check.reason) == expected, (tree, spine)
             reasons.add(check.reason and check.reason.split(" at ")[0])
         arcs = mask_arcs(tree, base)
         for k, (t, h, mask) in enumerate(arcs):
@@ -275,6 +376,36 @@ def assert_side_sets_agree(tree):
                 assert check.reason == "arcs do not connect the nodes", spine
             else:
                 assert sides == bfs_side_sets(spine), spine
+
+
+def contracted_spines(tree, mutated=True):
+    """Every one-arc contraction of every maximal spine, and (if `mutated`) its one-arc mutations."""
+    for base in enumerate_maximal_spines(tree):
+        for arc in base.arcs:
+            merged = contract_arc(base, arc)
+            yield merged
+            if mutated:
+                yield from one_arc_mutations(merged)
+
+
+def assert_validation_agrees(tree, mutated=True):
+    """`validate_spine` gives the components oracle's (ok, reason) on contracted spines.
+
+    Returns the most vertices that a checked node deletes on a side where
+    it has arcs: from 2 on, its component rows are an intersection.
+    """
+    deepest = 0
+    for spine in contracted_spines(tree, mutated):
+        check = validate_spine(tree, spine)
+        assert (check.ok, check.reason) == components_validate(tree, spine), (tree, spine)
+        for label in spine.nodes:
+            for arcs, part in (
+                (spine.incoming(label), tree.negatives),
+                (spine.outgoing(label), tree.positives),
+            ):
+                if arcs:
+                    deepest = max(deepest, len(label & part))
+    return deepest
 
 
 class TestMaskCheck:
@@ -373,6 +504,33 @@ class TestValidation:
         # valid spines and both separation failures on both sides of a node
         assert reasons >= {None, "incoming set", "outgoing set"}
         assert reasons >= {"two incoming sets", "two outgoing sets"}
+
+    def test_agrees_with_components_oracle_on_contracted_spines(self):
+        # mutations up to nu = 4 only: on spider7 and the H-trees they take 20 s
+        trees = corpus(max_nu=4)
+        assert max(assert_validation_agrees(tree, tree.nu <= 4) for tree in trees) >= 2
+
+    @given(phantom_trees(max_vertices=8).filter(lambda tree: tree.nu <= 5))
+    @settings(max_examples=30, deadline=None)
+    def test_agrees_with_components_oracle_on_contracted_spines_with_phantoms(self, tree):
+        assert_validation_agrees(tree)
+
+    def test_every_checker_names_the_first_failing_node(self):
+        # two failures, at nodes [1] and [2]: the arc into [2] comes first in
+        # arc order, but node [1] comes first in node order
+        tree = build_tree([(v, "-") for v in (1, 2, 3, 4)], [(1, 2), (1, 3), (2, 4)])
+        spine = Spine.make(
+            [frozenset({v}) for v in (1, 2, 3, 4)],
+            [(frozenset({t}), frozenset({h})) for t, h in ((1, 2), (3, 1), (4, 3))],
+        )
+        reason = "incoming set at node [1] spans several components"
+        assert validate_spine(tree, spine).reason == reason
+        assert components_validate(tree, spine) == (False, reason)
+        for arc in spine.arcs:
+            with pytest.raises(InvalidSpine, match=re.escape(reason)):
+                flip_arc(tree, spine, arc)
+        with pytest.raises(InvalidSpine, match=re.escape(reason)):
+            vertex_point(tree, spine)
 
 
 class TestSourceSets:
@@ -484,6 +642,11 @@ class TestContractSplit:
         merged = contract_arc(path_spine(1, 2, 3, 4), (frozenset({2}), frozenset({3})))
         with pytest.raises(VertexNotInLabel):
             split_node(tripod_neg, merged, frozenset({2, 3}), 4)
+
+    def test_split_refuses_a_vertex_outside_the_tree(self, tripod_neg):
+        merged = contract_arc(path_spine(1, 2, 3, 9), (frozenset({3}), frozenset({9})))
+        with pytest.raises(InvalidSpine, match="9 is not a standard vertex"):
+            split_node(tripod_neg, merged, frozenset({3, 9}), 9)
 
     @given(signed_trees(min_nu=2, max_nu=5))
     @settings(max_examples=20, deadline=None)
